@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,9 +36,7 @@
 #include "ml/classifier.h"
 #include "ml/common.h"
 #include "ml/decision_tree.h"
-#include "ml/feature_index.h"
 #include "ml/gradient_boosting.h"
-#include "ml/histogram_index.h"
 #include "ml/kmeans.h"
 #include "ml/naive_bayes.h"
 #include "ml/regression_tree.h"
@@ -114,23 +111,6 @@ void BM_DecisionTreePredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DecisionTreePredict);
-
-void BM_HistogramDecisionTreeFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::DecisionTreeParams params{.min_samples_leaf = 30,
-                                .max_leaves = static_cast<size_t>(
-                                    state.range(0))};
-  params.use_histogram = true;
-  for (auto _ : state) {
-    ml::DecisionTreeClassifier tree(params);
-    auto status = tree.Fit(ds, "crash_prone_gt8",
-                           roadgen::RoadAttributeColumns(),
-                           ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_HistogramDecisionTreeFit)->Arg(16)->Arg(64);
 
 void BM_GradientBoostedTreesFit(benchmark::State& state) {
   const data::Dataset& ds = BenchDataset();
@@ -298,111 +278,6 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
   {
     obs::BenchReport::ScopedStage stage(ctx.report(), "decision_tree_predict");
     scores = *tree.PredictBatch(ds, all_rows);
-  }
-
-  // --- FeatureIndex A/B: the same tree trained over the legacy
-  // per-node-sort path and over the pre-sorted index, both
-  // single-threaded. A deep tree (many nodes) is the regime the index
-  // targets — every node the legacy path visits re-sorts each numeric
-  // attribute. The indexed side uses the deployed configuration: one
-  // index built per dataset (its cost recorded separately as
-  // tree_index_build) and shared across fits, as bagging and CV do.
-  // Best-of-reps de-noises the ratio; the serialized models must match
-  // exactly (the index's bit-identity contract), so a speedup that costs
-  // correctness fails the smoke test loudly.
-  {
-    ml::DecisionTreeParams ab_params{.min_samples_split = 10,
-                                     .min_samples_leaf = 5,
-                                     .max_leaves = 256};
-    const int reps = smoke ? 1 : 3;
-
-    auto shared_index = ml::FeatureIndex::Build(ds, features);
-    if (!shared_index.ok()) {
-      obs::LogError(kFailTag, {{"stage", "tree_train_ab"},
-                               {"error", shared_index.status().ToString()}});
-      return false;
-    }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      auto rebuilt = ml::FeatureIndex::Build(ds, features);
-      ctx.report().RecordTimingMs(
-          "tree_index_build",
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      if (!rebuilt.ok()) return false;
-    }
-
-    auto best_fit = [&](bool use_index, std::string* model, double* best_ms) {
-      ml::DecisionTreeParams params = ab_params;
-      params.use_feature_index = use_index;
-      params.feature_index = use_index ? &*shared_index : nullptr;
-      *best_ms = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < reps; ++i) {
-        ml::DecisionTreeClassifier t(params);
-        const auto start = std::chrono::steady_clock::now();
-        auto status = t.Fit(ds, "crash_prone_gt8", features, all_rows);
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        if (!status.ok()) {
-          obs::LogError(kFailTag, {{"stage", "tree_train_ab"},
-                                   {"error", status.ToString()}});
-          return false;
-        }
-        *best_ms = std::min(*best_ms, ms);
-        *model = t.Serialize();
-      }
-      return true;
-    };
-    std::string legacy_model, indexed_model;
-    double legacy_ms = 0.0, indexed_ms = 0.0;
-    if (!best_fit(/*use_index=*/false, &legacy_model, &legacy_ms)) {
-      return false;
-    }
-    if (!best_fit(/*use_index=*/true, &indexed_model, &indexed_ms)) {
-      return false;
-    }
-    if (indexed_model != legacy_model) {
-      obs::LogError(kFailTag,
-                    {{"stage", "tree_train_ab"},
-                     {"error", "indexed tree diverged from legacy tree"}});
-      return false;
-    }
-    ctx.report().RecordTimingMs("tree_fit_legacy", legacy_ms);
-    ctx.report().RecordTimingMs("tree_fit_indexed", indexed_ms);
-    ctx.report().RecordMetric("tree_train_speedup", legacy_ms / indexed_ms);
-
-    // --- Histogram A/B: the same configuration trained over quantile
-    // bins instead of every sorted value. The tree may differ from the
-    // exact one (the documented binning tolerance: candidates coarsen to
-    // bin uppers), so this leg gates time, not structure — the
-    // equivalence suite (ml_histogram_index_test) pins the semantics.
-    double hist_ms = std::numeric_limits<double>::infinity();
-    size_t hist_leaves = 0;
-    {
-      ml::DecisionTreeParams params = ab_params;
-      params.use_histogram = true;
-      for (int i = 0; i < reps; ++i) {
-        ml::DecisionTreeClassifier t(params);
-        const auto start = std::chrono::steady_clock::now();
-        auto status = t.Fit(ds, "crash_prone_gt8", features, all_rows);
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        if (!status.ok()) {
-          obs::LogError(kFailTag, {{"stage", "tree_train_hist"},
-                                   {"error", status.ToString()}});
-          return false;
-        }
-        hist_ms = std::min(hist_ms, ms);
-        hist_leaves = t.leaf_count();
-      }
-    }
-    ctx.report().RecordTimingMs("tree_fit_hist", hist_ms);
-    ctx.report().RecordMetric("hist_tree_leaves",
-                              static_cast<double>(hist_leaves));
-    ctx.report().RecordMetric("hist_train_speedup", indexed_ms / hist_ms);
   }
 
   // --- Gradient-boosted trees: fit + whole-dataset scoring, with the

@@ -7,10 +7,7 @@
 // bit-identical whether folds run serially or on any executor thread
 // count. Fold membership is drawn before any fold trains, each fold's
 // work depends only on its own inputs, and pooled metrics merge in fold
-// order after all folds complete. Trainers may share immutable pre-built
-// state across folds (e.g. the ml::FeatureIndex a ClassifierTrainer
-// builds once per dataset) — read-only inputs that do not depend on fold
-// membership keep the contract intact.
+// order after all folds complete.
 #ifndef ROADMINE_EVAL_CROSS_VALIDATION_H_
 #define ROADMINE_EVAL_CROSS_VALIDATION_H_
 

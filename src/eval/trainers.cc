@@ -1,93 +1,27 @@
 #include "eval/trainers.h"
 
 #include <memory>
-#include <mutex>
 #include <utility>
-
-#include "ml/feature_index.h"
 
 namespace roadmine::eval {
 
-namespace {
-
-// Lazily-built ml::FeatureIndex shared by every fold a trainer runs on the
-// same dataset. The index depends only on the dataset's feature columns —
-// not on which rows train — so fold 1..k-1 reuse fold 0's build, and the
-// result is bit-identical to each fold building its own. Keyed on the
-// dataset's identity and shape: a trainer is conventionally driven against
-// one dataset, and a different dataset object (or a resized one at the
-// same address) triggers a rebuild.
-class SharedIndexState {
- public:
-  util::Result<std::shared_ptr<const ml::FeatureIndex>> GetOrBuild(
-      const data::Dataset& dataset, const std::vector<std::string>& features) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (index_ != nullptr && dataset_ == &dataset &&
-        num_rows_ == dataset.num_rows() &&
-        num_columns_ == dataset.num_columns()) {
-      return index_;
-    }
-    auto built = ml::FeatureIndex::Build(dataset, features);
-    if (!built.ok()) return built.status();
-    index_ = std::make_shared<const ml::FeatureIndex>(std::move(*built));
-    dataset_ = &dataset;
-    num_rows_ = dataset.num_rows();
-    num_columns_ = dataset.num_columns();
-    return index_;
-  }
-
- private:
-  std::mutex mu_;  // Folds may train concurrently (see CrossValidateBinary).
-  const data::Dataset* dataset_ = nullptr;
-  size_t num_rows_ = 0;
-  size_t num_columns_ = 0;
-  std::shared_ptr<const ml::FeatureIndex> index_;
-};
-
-// Only the tree-based classifiers read a FeatureIndex.
-bool SpecUsesFeatureIndex(const ml::ClassifierSpec& spec) {
-  if (spec.name == "decision_tree") {
-    return spec.decision_tree.use_feature_index &&
-           spec.decision_tree.feature_index == nullptr;
-  }
-  if (spec.name == "bagged_trees") {
-    return spec.bagged_trees.tree.use_feature_index &&
-           spec.bagged_trees.tree.feature_index == nullptr;
-  }
-  return false;
-}
-
-}  // namespace
-
 BinaryTrainer ClassifierTrainer(ml::ClassifierSpec spec, std::string target,
                                 std::vector<std::string> features) {
-  auto index_state = std::make_shared<SharedIndexState>();
   return [spec = std::move(spec), target = std::move(target),
-          features = std::move(features), index_state](
+          features = std::move(features)](
              const data::Dataset& dataset,
              const std::vector<size_t>& train_rows)
              -> util::Result<FoldScorer> {
-    ml::ClassifierSpec fold_spec = spec;
-    std::shared_ptr<const ml::FeatureIndex> index;
-    if (SpecUsesFeatureIndex(spec)) {
-      auto shared = index_state->GetOrBuild(dataset, features);
-      if (!shared.ok()) return shared.status();
-      index = std::move(*shared);
-      fold_spec.decision_tree.feature_index = index.get();
-      fold_spec.bagged_trees.tree.feature_index = index.get();
-    }
-    auto built = ml::MakeBinaryClassifier(fold_spec);
+    auto built = ml::MakeBinaryClassifier(spec);
     if (!built.ok()) return built.status();
     std::shared_ptr<ml::BinaryClassifier> model = std::move(*built);
     ROADMINE_RETURN_IF_ERROR(
         model->Fit(dataset, target, features, train_rows));
-    // `index` rides in the captures to keep the shared index alive at
-    // least as long as the model that was configured with it.
     return FoldScorer(
-        RowScorer([model, index, &dataset](size_t row) {
+        RowScorer([model, &dataset](size_t row) {
           return model->PredictProba(dataset, row);
         }),
-        BatchScorer([model, index, &dataset](const std::vector<size_t>& rows) {
+        BatchScorer([model, &dataset](const std::vector<size_t>& rows) {
           return model->PredictProbaBatch(dataset, rows);
         }));
   };

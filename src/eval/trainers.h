@@ -22,11 +22,10 @@ namespace roadmine::eval {
 // through PredictBatch. Spec errors (unknown name) surface when the
 // trainer first runs.
 //
-// Tree specs ("decision_tree", "bagged_trees") that leave
-// use_feature_index on share one lazily-built ml::FeatureIndex across all
-// folds trained on the same dataset, instead of re-sorting the feature
-// columns per fold. The index is immutable and fold-independent, so this
-// preserves the CV determinism contract and changes no results.
+// Each fold's model sees only its own training rows: tree specs
+// ("decision_tree", "bagged_trees") that bring no histogram_index of their
+// own bin the fold's training rows privately, so no fold's tree depends on
+// its held-out rows.
 BinaryTrainer ClassifierTrainer(ml::ClassifierSpec spec, std::string target,
                                 std::vector<std::string> features);
 

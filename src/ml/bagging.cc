@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "exec/executor.h"
-#include "ml/feature_index.h"
+#include "ml/histogram_index.h"
 #include "ml/serialize.h"
 #include "util/string_util.h"
 
@@ -38,19 +38,18 @@ Status BaggedTreesClassifier::Fit(const data::Dataset& dataset,
              params_.feature_fraction *
              static_cast<double>(feature_columns.size()))));
 
-  // One pre-sorted index serves every member: it depends only on the
-  // dataset's feature columns, not on any bootstrap, and members only read
-  // it. Feature-bagged members use a subset of the indexed columns, which
-  // the index covers by construction.
+  // One histogram index serves every member: the caller's, else an exact
+  // one over `rows`, from which every bootstrap draws. Members only read
+  // it, and feature-bagged members use a subset of the indexed columns.
+  auto features = ResolveFeatures(dataset, feature_columns, target_column);
+  if (!features.ok()) return features.status();
+  std::optional<HistogramIndex> ensemble_index;
+  auto index = ResolveFitIndex(params_.tree.histogram_index, dataset,
+                               *features, rows, params_.executor,
+                               &ensemble_index);
+  if (!index.ok()) return index.status();
   DecisionTreeParams tree_params = params_.tree;
-  std::optional<FeatureIndex> ensemble_index;
-  if (tree_params.use_feature_index && tree_params.feature_index == nullptr) {
-    auto built =
-        FeatureIndex::Build(dataset, feature_columns, params_.executor);
-    if (!built.ok()) return built.status();
-    ensemble_index.emplace(std::move(*built));
-    tree_params.feature_index = &*ensemble_index;
-  }
+  tree_params.histogram_index = *index;
 
   // Member t's bootstrap and feature subset come from child stream t of
   // the ensemble seed, so they do not depend on which members trained

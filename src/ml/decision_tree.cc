@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <queue>
 
 #include "exec/executor.h"
-#include "ml/feature_index.h"
 #include "ml/histogram_index.h"
+#include "ml/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/distributions.h"
@@ -132,15 +131,10 @@ namespace {
 
 // Search state shared across the best-first growth of one Fit call.
 struct FitContext {
-  const data::Dataset* dataset = nullptr;
   const std::vector<int8_t>* labels = nullptr;  // By dataset row id.
   const std::vector<FeatureRef>* features = nullptr;
   const DecisionTreeParams* params = nullptr;
-  // Pre-sorted view of the numeric features (null = legacy per-node sort).
-  IndexedSplitWorkspace* workspace = nullptr;
-  // Quantile-binned view (null = exact-greedy). Numeric features scan
-  // per-bin class counts instead of sorted values when set.
-  const HistogramIndex* hist = nullptr;
+  const HistogramIndex* index = nullptr;  // Covers every feature.
 };
 
 // Decides how the split routes missing rows: toward the child whose class
@@ -159,179 +153,66 @@ bool MissingGoesLeft(const SplitCounts& c, double missing_pos,
   return c.left_total() >= c.right_total();
 }
 
-// Scans one numeric feature's candidate thresholds over its present rows
-// in ascending value order. Shared by the legacy (gather + sort) and
-// indexed (pre-sorted segment) paths so the candidate enumeration and
-// scoring cannot diverge between them. The class counts are integer-valued
-// doubles, so the accumulation is exact and the result does not depend on
-// the order of equal values.
-template <typename ValueAt, typename LabelAt>
+// Scans one numeric feature's per-bin class counts in ascending bin
+// order. A candidate cut lies between each pair of bins populated at this
+// node; its threshold is SplitMidpoint(upper of the left bin, lower of
+// the right bin), so `x <= threshold` routes every build row as its bin
+// did. With one distinct value per bin this visits the exact-greedy
+// candidates (midway between consecutive distinct values) in the same
+// order with the same counts, which are integers and hence exact, so it
+// picks the exact-greedy split and threshold.
 SplitSpec ScanNumericFeature(const DecisionTreeParams& params, size_t f,
-                             size_t count, const ValueAt& value_at,
-                             const LabelAt& label_at, double missing_pos,
-                             double missing_neg) {
+                             const HistogramIndex::FeatureBins& bins,
+                             const std::vector<double>& pos,
+                             const std::vector<double>& neg,
+                             double missing_pos, double missing_neg) {
   SplitSpec best;
-  if (count < 2 * params.min_samples_leaf) return best;
-
-  double total_pos = 0.0;
-  for (size_t i = 0; i < count; ++i) total_pos += label_at(i);
-  const double total = static_cast<double>(count);
-
-  double left_pos = 0.0;
-  for (size_t i = 0; i + 1 < count; ++i) {
-    left_pos += label_at(i);
-    if (value_at(i) == value_at(i + 1)) continue;
-    const double left_n = static_cast<double>(i + 1);
-    if (left_n < params.min_samples_leaf ||
-        total - left_n < params.min_samples_leaf) {
-      continue;
-    }
-    SplitCounts c;
-    c.left_pos = left_pos;
-    c.left_neg = left_n - left_pos;
-    c.right_pos = total_pos - left_pos;
-    c.right_neg = (total - left_n) - c.right_pos;
-    const double score = SplitScore(params.criterion, c);
-    if (score > best.score) {
-      best.valid = true;
-      best.score = score;
-      best.feature = f;
-      best.threshold = SplitMidpoint(value_at(i), value_at(i + 1));
-      best.counts = c;
-      best.missing_goes_left = MissingGoesLeft(c, missing_pos, missing_neg);
-    }
-  }
-  return best;
-}
-
-// Scans one numeric feature's binned class counts in ascending bin order.
-// Candidates sit at nonempty bins' upper bounds (the corrected cut
-// semantics: a threshold is an actual data value, so `x <= threshold`
-// routes binned rows exactly as the bin comparison did). When bins map
-// 1:1 onto the node's distinct present values this enumerates the same
-// (counts, candidate-order) sequence as ScanNumericFeature, so scores,
-// the strict-> winner, and the induced partition all coincide with the
-// exact-greedy scan.
-SplitSpec ScanBinnedFeature(const DecisionTreeParams& params, size_t f,
-                            const std::vector<double>& upper,
-                            const std::vector<double>& pos,
-                            const std::vector<double>& neg,
-                            double missing_pos, double missing_neg) {
-  SplitSpec best;
+  const double min_leaf = static_cast<double>(params.min_samples_leaf);
   double total_pos = 0.0, total = 0.0;
-  for (size_t b = 0; b < upper.size(); ++b) {
+  for (size_t b = 0; b < bins.num_bins; ++b) {
     total_pos += pos[b];
     total += pos[b] + neg[b];
   }
-  if (total < 2.0 * static_cast<double>(params.min_samples_leaf)) return best;
+  if (total < 2.0 * min_leaf) return best;
 
   double left_pos = 0.0, left_n = 0.0;
-  for (size_t b = 0; b + 1 < upper.size(); ++b) {
+  size_t prev = bins.num_bins;  // Last populated bin; none yet.
+  for (size_t b = 0; b < bins.num_bins; ++b) {
+    const double n = pos[b] + neg[b];
+    if (n <= 0.0) continue;
+    if (prev < bins.num_bins && left_n >= min_leaf &&
+        total - left_n >= min_leaf) {
+      SplitCounts c;
+      c.left_pos = left_pos;
+      c.left_neg = left_n - left_pos;
+      c.right_pos = total_pos - left_pos;
+      c.right_neg = (total - left_n) - c.right_pos;
+      const double score = SplitScore(params.criterion, c);
+      if (score > best.score) {
+        best.valid = true;
+        best.score = score;
+        best.feature = f;
+        best.threshold = SplitMidpoint(bins.upper[prev], bins.lower[b]);
+        best.counts = c;
+        best.missing_goes_left = MissingGoesLeft(c, missing_pos, missing_neg);
+      }
+    }
     left_pos += pos[b];
-    left_n += pos[b] + neg[b];
-    if (pos[b] + neg[b] <= 0.0) continue;  // Same partition as previous cut.
-    if (total - left_n <= 0.0) break;      // Everything after is empty.
-    if (left_n < static_cast<double>(params.min_samples_leaf) ||
-        total - left_n < static_cast<double>(params.min_samples_leaf)) {
-      continue;
-    }
-    SplitCounts c;
-    c.left_pos = left_pos;
-    c.left_neg = left_n - left_pos;
-    c.right_pos = total_pos - left_pos;
-    c.right_neg = (total - left_n) - c.right_pos;
-    const double score = SplitScore(params.criterion, c);
-    if (score > best.score) {
-      best.valid = true;
-      best.score = score;
-      best.feature = f;
-      best.threshold = upper[b];
-      best.counts = c;
-      best.missing_goes_left = MissingGoesLeft(c, missing_pos, missing_neg);
-    }
+    left_n += n;
+    prev = b;
   }
   return best;
 }
 
-// Best split of feature `f` over the node's rows; invalid when none is
-// admissible. The indexed path reads the node's pre-sorted segment instead
-// of gathering and sorting, and skips globally-constant columns outright
-// (they can never produce a candidate at any node).
-SplitSpec EvaluateFeature(const FitContext& ctx, const std::vector<size_t>& rows,
-                          int node_id, size_t f) {
-  const auto& labels = *ctx.labels;
-  const auto& params = *ctx.params;
-  const FeatureRef& ref = (*ctx.features)[f];
-  const data::Column& col = ctx.dataset->column(ref.column_index);
-  if (ctx.workspace != nullptr && ctx.workspace->IsConstant(f)) return {};
-
-  double missing_pos = 0.0, missing_neg = 0.0;
-
-  if (ref.type == data::ColumnType::kNumeric && ctx.hist != nullptr) {
-    const HistogramIndex::FeatureBins& bins =
-        ctx.hist->ColumnBins(ref.column_index);
-    if (bins.constant) return {};
-    std::vector<double> pos(bins.num_bins, 0.0), neg(bins.num_bins, 0.0);
-    for (size_t r : rows) {
-      const uint16_t code = bins.codes[r];
-      if (code == HistogramIndex::kMissingBin) {
-        (labels[r] ? missing_pos : missing_neg) += 1.0;
-      } else {
-        (labels[r] ? pos : neg)[code] += 1.0;
-      }
-    }
-    return ScanBinnedFeature(params, f, bins.upper, pos, neg, missing_pos,
-                             missing_neg);
-  }
-
-  if (ref.type == data::ColumnType::kNumeric) {
-    if (ctx.workspace != nullptr) {
-      const IndexedSplitWorkspace::NumericView view =
-          ctx.workspace->NodeNumeric(node_id, f);
-      for (size_t i = 0; i < view.missing_count; ++i) {
-        (labels[view.missing_rows[i]] ? missing_pos : missing_neg) += 1.0;
-      }
-      return ScanNumericFeature(
-          params, f, view.count, [&](size_t i) { return view.values[i]; },
-          [&](size_t i) { return labels[view.rows[i]]; }, missing_pos,
-          missing_neg);
-    }
-    // Legacy: gather (value, label) for present rows, then sort.
-    std::vector<std::pair<double, int8_t>> present;
-    present.reserve(rows.size());
-    for (size_t r : rows) {
-      const double v = col.NumericAt(r);
-      if (std::isnan(v)) {
-        (labels[r] ? missing_pos : missing_neg) += 1.0;
-      } else {
-        present.emplace_back(v, labels[r]);
-      }
-    }
-    if (present.size() < 2 * params.min_samples_leaf) return {};
-    std::sort(present.begin(), present.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return ScanNumericFeature(
-        params, f, present.size(),
-        [&](size_t i) { return present[i].first; },
-        [&](size_t i) { return present[i].second; }, missing_pos, missing_neg);
-  }
-
-  // Categorical: order categories by positive rate, scan prefix splits
-  // (optimal for Gini on binary targets; strong heuristic for the
-  // chi-square and entropy criteria). The per-level accumulation already
-  // touches each node row once, so there is no sort to index away.
+// Categorical: order the node's levels by positive rate and scan prefix
+// splits (optimal for Gini on binary targets; strong heuristic for the
+// chi-square and entropy criteria).
+SplitSpec ScanCategoricalFeature(const DecisionTreeParams& params, size_t f,
+                                 const std::vector<double>& pos,
+                                 const std::vector<double>& neg,
+                                 double missing_pos, double missing_neg) {
   SplitSpec best;
-  const size_t k = col.category_count();
-  if (k < 2) return best;
-  std::vector<double> pos(k, 0.0), neg(k, 0.0);
-  for (size_t r : rows) {
-    const int32_t code = col.CodeAt(r);
-    if (code < 0) {
-      (labels[r] ? missing_pos : missing_neg) += 1.0;
-    } else {
-      (labels[r] ? pos : neg)[static_cast<size_t>(code)] += 1.0;
-    }
-  }
+  const size_t k = pos.size();
   std::vector<size_t> order;
   double total_pos = 0.0, total_all = 0.0;
   for (size_t cat = 0; cat < k; ++cat) {
@@ -376,6 +257,35 @@ SplitSpec EvaluateFeature(const FitContext& ctx, const std::vector<size_t>& rows
   return best;
 }
 
+// Best split of feature `f` over the node's rows; invalid when none is
+// admissible. One pass over the rows tallies class counts per bin (a
+// numeric bin or a categorical level); columns constant over the build
+// rows can never split at any node and are skipped outright.
+SplitSpec EvaluateFeature(const FitContext& ctx, const std::vector<size_t>& rows,
+                          size_t f) {
+  const auto& labels = *ctx.labels;
+  const HistogramIndex::FeatureBins& bins =
+      ctx.index->ColumnBins((*ctx.features)[f].column_index);
+  if (bins.constant) return {};
+
+  double missing_pos = 0.0, missing_neg = 0.0;
+  std::vector<double> pos(bins.num_bins, 0.0), neg(bins.num_bins, 0.0);
+  for (size_t r : rows) {
+    const uint16_t code = bins.codes[r];
+    if (code == HistogramIndex::kMissingBin) {
+      (labels[r] ? missing_pos : missing_neg) += 1.0;
+    } else {
+      (labels[r] ? pos : neg)[code] += 1.0;
+    }
+  }
+  if (bins.is_numeric) {
+    return ScanNumericFeature(*ctx.params, f, bins, pos, neg, missing_pos,
+                              missing_neg);
+  }
+  return ScanCategoricalFeature(*ctx.params, f, pos, neg, missing_pos,
+                                missing_neg);
+}
+
 // Engage the executor for per-feature split scans only at nodes at least
 // this large: below it, the scan is cheaper than waking the pool. The
 // cutoff depends only on the node's row count — never on the thread
@@ -393,8 +303,7 @@ constexpr size_t kParallelSplitMinRows = 4096;
 // a swallowed error here would silently yield a leaf where a split
 // belongs.
 util::Result<SplitSpec> FindBestSplit(const FitContext& ctx,
-                                      const std::vector<size_t>& rows,
-                                      int node_id) {
+                                      const std::vector<size_t>& rows) {
   const auto& params = *ctx.params;
   const size_t num_features = ctx.features->size();
   std::vector<SplitSpec> specs(num_features);
@@ -402,7 +311,7 @@ util::Result<SplitSpec> FindBestSplit(const FitContext& ctx,
       rows.size() >= kParallelSplitMinRows ? params.executor : nullptr;
   ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
       executor, num_features, [&](size_t f) -> Status {
-        specs[f] = EvaluateFeature(ctx, rows, node_id, f);
+        specs[f] = EvaluateFeature(ctx, rows, f);
         return Status::Ok();
       }));
   SplitSpec best;
@@ -441,60 +350,16 @@ Status DecisionTreeClassifier::Fit(
   features_ = std::move(*features);
   nodes_.clear();
 
-  // Pre-sorted index: use the caller's shared one when provided (after
-  // validating it matches this fit), else build a private one. The root
-  // sort costs what one legacy node evaluation did; every further node
-  // then splits in O(n) instead of re-sorting.
-  // Histogram mode replaces the exact-greedy numeric scan entirely, so
-  // the pre-sorted index would be dead weight; categorical features keep
-  // the per-level scan, which needs no index either way.
-  const HistogramIndex* hist = nullptr;
-  std::optional<HistogramIndex> local_hist;
-  if (params_.use_histogram) {
-    if (params_.histogram_index != nullptr) {
-      if (params_.histogram_index->num_rows() != dataset.num_rows() ||
-          !params_.histogram_index->Covers(features_)) {
-        return InvalidArgumentError(
-            "histogram_index does not cover this dataset's feature columns");
-      }
-      hist = params_.histogram_index;
-    } else {
-      auto built = HistogramIndex::Build(dataset, features_, rows,
-                                         {.max_bins = params_.max_bins},
-                                         params_.executor);
-      if (!built.ok()) return built.status();
-      local_hist.emplace(std::move(*built));
-      hist = &*local_hist;
-    }
-  }
-
-  const FeatureIndex* index = nullptr;
-  std::optional<FeatureIndex> local_index;
-  std::optional<IndexedSplitWorkspace> workspace;
-  if (params_.use_feature_index && !params_.use_histogram) {
-    if (params_.feature_index != nullptr) {
-      if (params_.feature_index->num_rows() != dataset.num_rows() ||
-          !params_.feature_index->Covers(features_)) {
-        return InvalidArgumentError(
-            "feature_index does not cover this dataset's feature columns");
-      }
-      index = params_.feature_index;
-    } else {
-      auto built = FeatureIndex::Build(dataset, features_, params_.executor);
-      if (!built.ok()) return built.status();
-      local_index.emplace(std::move(*built));
-      index = &*local_index;
-    }
-    workspace.emplace(*index, dataset, features_, rows, params_.executor);
-  }
+  std::optional<HistogramIndex> owned_index;
+  auto index = ResolveFitIndex(params_.histogram_index, dataset, features_,
+                               rows, params_.executor, &owned_index);
+  if (!index.ok()) return index.status();
 
   FitContext ctx;
-  ctx.dataset = &dataset;
   ctx.labels = &labels.value();
   ctx.features = &features_;
   ctx.params = &params_;
-  ctx.workspace = workspace ? &*workspace : nullptr;
-  ctx.hist = hist;
+  ctx.index = *index;
 
   auto make_node = [&](const std::vector<size_t>& node_rows, int depth) {
     Node node;
@@ -534,8 +399,7 @@ Status DecisionTreeClassifier::Fit(
     if (node.count_positive == 0 || node.count_negative == 0) {
       return Status::Ok();
     }
-    auto spec =
-        FindBestSplit(ctx, node_rows[static_cast<size_t>(node_id)], node_id);
+    auto spec = FindBestSplit(ctx, node_rows[static_cast<size_t>(node_id)]);
     if (!spec.ok()) return spec.status();
     if (spec->valid) heap.push({spec->score, node_id, std::move(*spec)});
     return Status::Ok();
@@ -571,11 +435,6 @@ Status DecisionTreeClassifier::Fit(
     const int right_id = make_node(right_rows, node_depth + 1);
     node_rows.push_back(std::move(left_rows));
     node_rows.push_back(std::move(right_rows));
-    if (workspace) {
-      workspace->SplitNode(node_id, left_id, right_id, [&](uint32_t r) {
-        return go_left(static_cast<size_t>(r));
-      });
-    }
 
     Node& node = nodes_[static_cast<size_t>(node_id)];
     node.is_leaf = false;
@@ -886,21 +745,15 @@ std::string DecisionTreeClassifier::Serialize() const {
   // Line-oriented, tab-separated. Category-set descriptions go last on the
   // node line because they may contain spaces (never tabs).
   std::string out = kSerializationHeader;
-  out += "\nfeatures " + std::to_string(features_.size()) + "\n";
-  for (const FeatureRef& ref : features_) {
-    out += "feature\t" + ref.name + "\t";
-    out += ref.type == data::ColumnType::kNumeric ? "numeric" : "categorical";
-    out += "\n";
-  }
+  out += "\n";
+  AppendFeatureSection(features_, &out);
   out += "nodes " + std::to_string(nodes_.size()) + "\n";
   for (const Node& node : nodes_) {
     out += "node\t";
     out += std::to_string(node.is_leaf ? 1 : 0) + "\t";
     out += std::to_string(node.depth) + "\t";
     out += std::to_string(node.feature) + "\t";
-    char threshold[64];
-    std::snprintf(threshold, sizeof(threshold), "%.17g", node.threshold);
-    out += std::string(threshold) + "\t";
+    out += SerializeDouble(node.threshold) + "\t";
     out += std::to_string(node.missing_goes_left ? 1 : 0) + "\t";
     out += std::to_string(node.left) + "\t";
     out += std::to_string(node.right) + "\t";
@@ -921,67 +774,28 @@ std::string DecisionTreeClassifier::Serialize() const {
 
 util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
     const std::string& text, const data::Dataset& dataset) {
-  const std::vector<std::string> lines = util::Split(text, '\n');
-  size_t line = 0;
-  auto next_line = [&]() -> const std::string* {
-    while (line < lines.size() && lines[line].empty()) ++line;
-    return line < lines.size() ? &lines[line++] : nullptr;
-  };
-
-  const std::string* header = next_line();
+  LineCursor cursor(text);
+  const std::string* header = cursor.Next();
   if (header == nullptr || *header != kSerializationHeader) {
     return InvalidArgumentError("bad serialization header");
   }
-
   DecisionTreeClassifier tree;
-  const std::string* count_line = next_line();
-  int64_t feature_count = 0;
-  if (count_line == nullptr ||
-      !util::StartsWith(*count_line, "features ") ||
-      !util::ParseInt(count_line->substr(9), &feature_count) ||
-      feature_count <= 0) {
-    return InvalidArgumentError("bad feature count line");
-  }
-  for (int64_t i = 0; i < feature_count; ++i) {
-    const std::string* feature_line = next_line();
-    if (feature_line == nullptr) {
-      return InvalidArgumentError("truncated feature list");
-    }
-    const std::vector<std::string> parts = util::Split(*feature_line, '\t');
-    if (parts.size() != 3 || parts[0] != "feature") {
-      return InvalidArgumentError("bad feature line: " + *feature_line);
-    }
-    auto index = dataset.ColumnIndex(parts[1]);
-    if (!index.ok()) return index.status();
-    FeatureRef ref;
-    ref.name = parts[1];
-    ref.column_index = *index;
-    ref.type = dataset.column(*index).type();
-    const bool expect_numeric = parts[2] == "numeric";
-    if (expect_numeric != (ref.type == data::ColumnType::kNumeric)) {
-      return InvalidArgumentError("schema mismatch for feature '" +
-                                  parts[1] + "'");
-    }
-    tree.features_.push_back(std::move(ref));
-  }
+  auto features = ParseFeatureSection(cursor, dataset);
+  if (!features.ok()) return features.status();
+  tree.features_ = std::move(*features);
 
-  const std::string* nodes_line = next_line();
-  int64_t node_count = 0;
-  if (nodes_line == nullptr || !util::StartsWith(*nodes_line, "nodes ") ||
-      !util::ParseInt(nodes_line->substr(6), &node_count) ||
-      node_count <= 0) {
-    return InvalidArgumentError("bad node count line");
-  }
-  for (int64_t i = 0; i < node_count; ++i) {
-    const std::string* node_line = next_line();
-    if (node_line == nullptr) return InvalidArgumentError("truncated nodes");
-    const std::vector<std::string> parts = util::Split(*node_line, '\t');
+  auto node_count = ParseCountLine(cursor, "nodes");
+  if (!node_count.ok()) return node_count.status();
+  if (*node_count <= 0) return InvalidArgumentError("no nodes");
+  for (int64_t i = 0; i < *node_count; ++i) {
+    const std::string* line = cursor.Next();
+    if (line == nullptr) return InvalidArgumentError("truncated nodes");
+    const std::vector<std::string> parts = util::Split(*line, '\t');
     if (parts.size() != 13 || parts[0] != "node") {
-      return InvalidArgumentError("bad node line: " + *node_line);
+      return InvalidArgumentError("bad node line: " + *line);
     }
     Node node;
     int64_t value = 0;
-    double threshold = 0.0;
     if (!util::ParseInt(parts[1], &value)) {
       return InvalidArgumentError("bad is_leaf");
     }
@@ -997,27 +811,19 @@ util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
     if (!node.is_leaf && node.feature >= tree.features_.size()) {
       return InvalidArgumentError("feature index out of range");
     }
-    if (!util::ParseDouble(parts[4], &threshold)) {
+    if (!util::ParseDouble(parts[4], &node.threshold)) {
       return InvalidArgumentError("bad threshold");
     }
-    node.threshold = threshold;
     if (!util::ParseInt(parts[5], &value)) {
       return InvalidArgumentError("bad missing direction");
     }
     node.missing_goes_left = value != 0;
-    if (!util::ParseInt(parts[6], &value)) {
-      return InvalidArgumentError("bad left child");
-    }
-    node.left = static_cast<int>(value);
-    if (!util::ParseInt(parts[7], &value)) {
-      return InvalidArgumentError("bad right child");
-    }
-    node.right = static_cast<int>(value);
-    if (!node.is_leaf &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
-      return InvalidArgumentError("child index out of range");
-    }
+    auto left = ParseChildIndex(parts[6], i, *node_count, node.is_leaf);
+    if (!left.ok()) return left.status();
+    node.left = *left;
+    auto right = ParseChildIndex(parts[7], i, *node_count, node.is_leaf);
+    if (!right.ok()) return right.status();
+    node.right = *right;
     if (!util::ParseInt(parts[8], &value) || value < 0) {
       return InvalidArgumentError("bad negative count");
     }
@@ -1039,7 +845,6 @@ util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
     node.right_set_desc = parts[12];
     tree.nodes_.push_back(std::move(node));
   }
-  if (tree.nodes_.empty()) return InvalidArgumentError("no nodes");
   return tree;
 }
 

@@ -11,6 +11,9 @@
 //     direction for missing rows instead of discarding them;
 //   * rule extraction, the reason the paper prefers trees ("the potential
 //     to extract domain knowledge from the rules").
+// Split search is exact-greedy over an ml::HistogramIndex with one bin per
+// distinct value: each node tallies class counts per bin, and a numeric
+// cut sits midway between consecutive values present at the node.
 #ifndef ROADMINE_ML_DECISION_TREE_H_
 #define ROADMINE_ML_DECISION_TREE_H_
 
@@ -29,7 +32,6 @@ class Executor;
 
 namespace roadmine::ml {
 
-class FeatureIndex;
 class HistogramIndex;
 
 enum class SplitCriterion {
@@ -56,32 +58,12 @@ struct DecisionTreeParams {
   // CHAID-style Bonferroni adjustment: multiply the best split's p-value by
   // the number of candidate features before the significance check.
   bool bonferroni_adjust = true;
-  // Search numeric splits over a pre-sorted FeatureIndex (ml/feature_index.h)
-  // instead of re-sorting each node's rows per attribute. The produced tree
-  // is bit-identical either way; this only changes the work done to find it.
-  // The legacy per-node-sort path (false) is kept for A/B benching.
-  bool use_feature_index = true;
-  // Optional pre-built index over the training dataset's feature columns,
-  // shared across fits (ensemble members, CV folds). Not owned; only read
-  // during Fit. When null and use_feature_index is set, Fit builds a
-  // private index. Must cover the fit's features over the same dataset.
-  const FeatureIndex* feature_index = nullptr;
-  // Search numeric splits over quantile-binned histograms
-  // (ml/histogram_index.h) instead of every sorted value: per-node class
-  // counts per bin, candidates only at bin upper bounds (actual data
-  // values — see the corrected-cut-semantics note there). Takes
-  // precedence over use_feature_index for numeric features; categorical
-  // features keep their per-level scan, which is already histogram-shaped.
-  // When every column's distinct values fit in max_bins the tree equals
-  // the exact-greedy one on the training rows bit-for-bit (thresholds
-  // differ — bin uppers instead of midpoints — but route identically);
-  // with merged bins the candidate set coarsens (DESIGN.md §12).
-  bool use_histogram = false;
-  // Bins per numeric column for the histogram path (2..65534).
-  size_t max_bins = 256;
-  // Optional pre-built histogram index shared across fits; same ownership
-  // and coverage rules as feature_index. When null and use_histogram is
-  // set, Fit bins the fit rows privately.
+  // Optional pre-built histogram index over the training dataset's
+  // feature columns, shared across fits (bagged-ensemble members). Not
+  // owned; only read during Fit. It must cover the fit's features and be
+  // built over a superset of the fit rows, with one bin per distinct value
+  // (HistogramIndex::kMaxBins) for the exact-greedy tree; coarser bins
+  // coarsen the candidate cuts. When null, Fit bins its rows privately.
   const HistogramIndex* histogram_index = nullptr;
   // Optional parallelism for the per-feature split scan and index build
   // (not owned, may be null = serial). Results are bit-identical either way.

@@ -16,7 +16,8 @@ namespace {
 // Bins one numeric column. Cut values are data values: all distinct
 // build-row values when they fit, else the values at max_bins evenly
 // spaced ranks of the sorted multiset (heavy ties collapse via the final
-// dedup, so a column may end with far fewer bins than max_bins).
+// dedup, so a column may end with far fewer bins than max_bins). Each
+// bin's lower bound is the first sorted value above the previous cut.
 void BinNumeric(const data::Column& col, const std::vector<size_t>& rows,
                 size_t max_bins, HistogramIndex::FeatureBins* out) {
   std::vector<double> values;
@@ -40,6 +41,13 @@ void BinNumeric(const data::Column& col, const std::vector<size_t>& rows,
       upper.push_back(values[b * n / max_bins - 1]);
     }
     upper.erase(std::unique(upper.begin(), upper.end()), upper.end());
+  }
+  std::vector<double>& lower = out->lower;
+  lower.reserve(upper.size());
+  auto next = values.begin();
+  for (double cut : upper) {
+    lower.push_back(*next);
+    next = std::upper_bound(next, values.end(), cut);
   }
   out->num_bins = upper.size();
   out->constant = upper.size() < 2;
@@ -97,8 +105,9 @@ Result<HistogramIndex> HistogramIndex::Build(const data::Dataset& dataset,
                                              exec::Executor* executor) {
   if (rows.empty()) return InvalidArgumentError("cannot bin 0 rows");
   if (features.empty()) return InvalidArgumentError("no features to bin");
-  if (params.max_bins < 2 || params.max_bins >= kMissingBin) {
-    return InvalidArgumentError("max_bins must be in [2, 65534]");
+  if (params.max_bins < 2 || params.max_bins > kMaxBins) {
+    return InvalidArgumentError("max_bins must be in [2, " +
+                                std::to_string(kMaxBins) + "]");
   }
   HistogramIndex index;
   index.params_ = params;
@@ -134,6 +143,26 @@ bool HistogramIndex::Covers(const std::vector<FeatureRef>& features) const {
     }
   }
   return true;
+}
+
+Result<const HistogramIndex*> ResolveFitIndex(
+    const HistogramIndex* shared, const data::Dataset& dataset,
+    const std::vector<FeatureRef>& features, const std::vector<size_t>& rows,
+    exec::Executor* executor, std::optional<HistogramIndex>* owned) {
+  if (shared != nullptr) {
+    if (shared->num_rows() != dataset.num_rows() ||
+        !shared->Covers(features)) {
+      return InvalidArgumentError(
+          "histogram_index does not cover this dataset's feature columns");
+    }
+    return shared;
+  }
+  auto built = HistogramIndex::Build(dataset, features, rows,
+                                     {.max_bins = HistogramIndex::kMaxBins},
+                                     executor);
+  if (!built.ok()) return built.status();
+  owned->emplace(std::move(*built));
+  return &**owned;
 }
 
 }  // namespace roadmine::ml

@@ -17,8 +17,8 @@
 namespace roadmine::ml {
 
 struct M5TreeParams {
-  // Parameters of the structural regression tree, including its
-  // FeatureIndex settings (see RegressionTreeParams).
+  // Parameters of the structural regression tree (see
+  // RegressionTreeParams); its split search bins the fit rows privately.
   RegressionTreeParams tree;
   // Ridge penalty for the leaf linear models, relative to the mean
   // diagonal of X^T X (scale-invariant shrinkage).

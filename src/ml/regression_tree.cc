@@ -6,7 +6,7 @@
 #include <queue>
 
 #include "exec/executor.h"
-#include "ml/feature_index.h"
+#include "ml/histogram_index.h"
 #include "ml/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,16 +64,10 @@ double SplitPValue(const TargetStats& left, const TargetStats& right) {
 }
 
 struct FitContext {
-  const data::Dataset* dataset = nullptr;
   const std::vector<double>* target = nullptr;  // By dataset row id.
   const std::vector<FeatureRef>* features = nullptr;
   const RegressionTreeParams* params = nullptr;
-  // Pre-sorted view of the numeric features (null = legacy per-node sort).
-  // Only set when the fit rows are strictly ascending: target sums are
-  // order-sensitive doubles, and that is the precondition under which the
-  // indexed accumulation order provably equals the legacy one (stable sort
-  // ties keep row order; stable partitioning preserves it down the tree).
-  IndexedSplitWorkspace* workspace = nullptr;
+  const HistogramIndex* index = nullptr;  // Covers every feature.
 };
 
 // Missing rows follow the child whose mean is nearest theirs.
@@ -86,149 +80,121 @@ bool MissingGoesLeft(const TargetStats& left, const TargetStats& right,
   return left.n >= right.n;
 }
 
-// Scans one numeric feature's candidate thresholds over its present rows
-// in ascending (value, row) order — the shared enumeration for the legacy
-// and indexed paths, which must visit rows in the identical order for the
-// running target sums to match bit-for-bit.
-template <typename ValueAt, typename TargetAt>
+void Merge(const TargetStats& from, TargetStats* into) {
+  into->n += from.n;
+  into->sum += from.sum;
+  into->sum_sq += from.sum_sq;
+}
+
+// Records the split with `left` on the left of `total` when it beats
+// `best` on SSE reduction; true when it did.
+bool ConsiderSplit(const TargetStats& left, const TargetStats& total,
+                   const TargetStats& missing_stats, size_t f,
+                   SplitSpec* best) {
+  TargetStats right;
+  right.n = total.n - left.n;
+  right.sum = total.sum - left.sum;
+  right.sum_sq = total.sum_sq - left.sum_sq;
+  const double gain = total.sse() - left.sse() - right.sse();
+  if (gain <= best->gain) return false;
+  best->valid = true;
+  best->gain = gain;
+  best->feature = f;
+  best->p_value = SplitPValue(left, right);
+  best->missing_goes_left = MissingGoesLeft(left, right, missing_stats);
+  return true;
+}
+
+// Scans one numeric feature's per-bin target statistics in ascending bin
+// order, with candidate cuts between bins populated at this node (see
+// decision_tree.cc: the threshold is midway between the left bin's
+// `upper` and the right bin's `lower`). Each bin sums its rows in node-row
+// order, so for integer targets every sum is exact and the split is the
+// exact-greedy one; for real-valued targets a gain that ties another
+// feature's in exact arithmetic may round either way (DESIGN.md §12).
 SplitSpec ScanNumericFeature(const RegressionTreeParams& params, size_t f,
-                             size_t count, const ValueAt& value_at,
-                             const TargetAt& target_at,
+                             const HistogramIndex::FeatureBins& bins,
+                             const std::vector<TargetStats>& per_bin,
                              const TargetStats& missing_stats) {
   SplitSpec best;
-  if (count < 2 * params.min_samples_leaf) return best;
-
+  const double min_leaf = static_cast<double>(params.min_samples_leaf);
   TargetStats total;
-  for (size_t i = 0; i < count; ++i) total.Add(target_at(i));
-  const double parent_sse = total.sse();
+  for (const TargetStats& stats : per_bin) Merge(stats, &total);
+  if (total.n < 2.0 * min_leaf) return best;
 
   TargetStats left;
-  for (size_t i = 0; i + 1 < count; ++i) {
-    left.Add(target_at(i));
-    if (value_at(i) == value_at(i + 1)) continue;
+  size_t prev = per_bin.size();  // Last populated bin; none yet.
+  for (size_t b = 0; b < per_bin.size(); ++b) {
+    if (per_bin[b].n <= 0.0) continue;
+    if (prev < per_bin.size() && left.n >= min_leaf &&
+        total.n - left.n >= min_leaf &&
+        ConsiderSplit(left, total, missing_stats, f, &best)) {
+      best.threshold = SplitMidpoint(bins.upper[prev], bins.lower[b]);
+    }
+    Merge(per_bin[b], &left);
+    prev = b;
+  }
+  return best;
+}
+
+// Categorical: order the node's levels by target mean; prefix splits are
+// optimal for SSE (Fisher's grouping result).
+SplitSpec ScanCategoricalFeature(const RegressionTreeParams& params, size_t f,
+                                 const std::vector<TargetStats>& per_level,
+                                 const TargetStats& missing_stats) {
+  SplitSpec best;
+  const size_t k = per_level.size();
+  std::vector<size_t> order;
+  TargetStats total;
+  for (size_t cat = 0; cat < k; ++cat) {
+    if (per_level[cat].n <= 0.0) continue;
+    order.push_back(cat);
+    Merge(per_level[cat], &total);
+  }
+  if (order.size() < 2 || total.n < 2 * params.min_samples_leaf) return best;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return per_level[a].mean() < per_level[b].mean();
+  });
+
+  TargetStats left;
+  for (size_t j = 0; j + 1 < order.size(); ++j) {
+    Merge(per_level[order[j]], &left);
     if (left.n < params.min_samples_leaf ||
         total.n - left.n < params.min_samples_leaf) {
       continue;
     }
-    TargetStats right;
-    right.n = total.n - left.n;
-    right.sum = total.sum - left.sum;
-    right.sum_sq = total.sum_sq - left.sum_sq;
-    const double gain = parent_sse - left.sse() - right.sse();
-    if (gain > best.gain) {
-      best.valid = true;
-      best.gain = gain;
-      best.feature = f;
-      best.threshold = SplitMidpoint(value_at(i), value_at(i + 1));
-      best.p_value = SplitPValue(left, right);
-      best.missing_goes_left = MissingGoesLeft(left, right, missing_stats);
+    if (ConsiderSplit(left, total, missing_stats, f, &best)) {
+      best.left_categories.assign(k, 0);
+      for (size_t jj = 0; jj <= j; ++jj) {
+        best.left_categories[order[jj]] = 1;
+      }
     }
   }
   return best;
 }
 
 // Best split of feature `f` over the node's rows; invalid when none is
-// admissible.
+// admissible. One pass over the rows, in node-row order, sums the target
+// per bin (a numeric bin or a categorical level); columns constant over
+// the build rows can never split and are skipped outright.
 SplitSpec EvaluateFeature(const FitContext& ctx, const std::vector<size_t>& rows,
-                          int node_id, size_t f) {
+                          size_t f) {
   const auto& target = *ctx.target;
-  const auto& params = *ctx.params;
-  const FeatureRef& ref = (*ctx.features)[f];
-  const data::Column& col = ctx.dataset->column(ref.column_index);
-  if (ctx.workspace != nullptr && ctx.workspace->IsConstant(f)) return {};
+  const HistogramIndex::FeatureBins& bins =
+      ctx.index->ColumnBins((*ctx.features)[f].column_index);
+  if (bins.constant) return {};
 
   TargetStats missing_stats;
-
-  if (ref.type == data::ColumnType::kNumeric) {
-    if (ctx.workspace != nullptr) {
-      const IndexedSplitWorkspace::NumericView view =
-          ctx.workspace->NodeNumeric(node_id, f);
-      for (size_t i = 0; i < view.missing_count; ++i) {
-        missing_stats.Add(target[view.missing_rows[i]]);
-      }
-      return ScanNumericFeature(
-          params, f, view.count, [&](size_t i) { return view.values[i]; },
-          [&](size_t i) { return target[view.rows[i]]; }, missing_stats);
-    }
-    std::vector<std::pair<double, double>> present;  // (feature, target).
-    present.reserve(rows.size());
-    for (size_t r : rows) {
-      const double v = col.NumericAt(r);
-      if (std::isnan(v)) {
-        missing_stats.Add(target[r]);
-      } else {
-        present.emplace_back(v, target[r]);
-      }
-    }
-    if (present.size() < 2 * params.min_samples_leaf) return {};
-    // Stable: equal feature values keep their gather (node-row) order, so
-    // the candidate stats are a deterministic function of the row set —
-    // and, for ascending row sets, exactly what the indexed path computes.
-    std::stable_sort(present.begin(), present.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    return ScanNumericFeature(
-        params, f, present.size(), [&](size_t i) { return present[i].first; },
-        [&](size_t i) { return present[i].second; }, missing_stats);
-  }
-
-  SplitSpec best;
-  const size_t k = col.category_count();
-  if (k < 2) return best;
-  std::vector<TargetStats> per_category(k);
+  std::vector<TargetStats> per_bin(bins.num_bins);
   for (size_t r : rows) {
-    const int32_t code = col.CodeAt(r);
-    if (code < 0) {
-      missing_stats.Add(target[r]);
-    } else {
-      per_category[static_cast<size_t>(code)].Add(target[r]);
-    }
+    const uint16_t code = bins.codes[r];
+    (code == HistogramIndex::kMissingBin ? missing_stats : per_bin[code])
+        .Add(target[r]);
   }
-  std::vector<size_t> order;
-  TargetStats total;
-  for (size_t cat = 0; cat < k; ++cat) {
-    if (per_category[cat].n <= 0.0) continue;
-    order.push_back(cat);
-    total.n += per_category[cat].n;
-    total.sum += per_category[cat].sum;
-    total.sum_sq += per_category[cat].sum_sq;
+  if (bins.is_numeric) {
+    return ScanNumericFeature(*ctx.params, f, bins, per_bin, missing_stats);
   }
-  if (order.size() < 2 || total.n < 2 * params.min_samples_leaf) return best;
-  // Order categories by target mean; prefix splits are optimal for SSE
-  // (Fisher's grouping result).
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return per_category[a].mean() < per_category[b].mean();
-  });
-  const double parent_sse = total.sse();
-
-  TargetStats left;
-  for (size_t j = 0; j + 1 < order.size(); ++j) {
-    left.n += per_category[order[j]].n;
-    left.sum += per_category[order[j]].sum;
-    left.sum_sq += per_category[order[j]].sum_sq;
-    if (left.n < params.min_samples_leaf ||
-        total.n - left.n < params.min_samples_leaf) {
-      continue;
-    }
-    TargetStats right;
-    right.n = total.n - left.n;
-    right.sum = total.sum - left.sum;
-    right.sum_sq = total.sum_sq - left.sum_sq;
-    const double gain = parent_sse - left.sse() - right.sse();
-    if (gain > best.gain) {
-      best.valid = true;
-      best.gain = gain;
-      best.feature = f;
-      best.left_categories.assign(k, 0);
-      for (size_t jj = 0; jj <= j; ++jj) {
-        best.left_categories[order[jj]] = 1;
-      }
-      best.p_value = SplitPValue(left, right);
-      best.missing_goes_left = MissingGoesLeft(left, right, missing_stats);
-    }
-  }
-  return best;
+  return ScanCategoricalFeature(*ctx.params, f, per_bin, missing_stats);
 }
 
 // Engage the executor only at nodes at least this large (a function of
@@ -241,8 +207,7 @@ constexpr size_t kParallelSplitMinRows = 4096;
 // Fails only through the scheduler's exception backstop, which must be
 // propagated: a swallowed error would silently turn a split into a leaf.
 util::Result<SplitSpec> FindBestSplit(const FitContext& ctx,
-                                      const std::vector<size_t>& rows,
-                                      int node_id) {
+                                      const std::vector<size_t>& rows) {
   const auto& params = *ctx.params;
   const size_t num_features = ctx.features->size();
   std::vector<SplitSpec> specs(num_features);
@@ -250,7 +215,7 @@ util::Result<SplitSpec> FindBestSplit(const FitContext& ctx,
       rows.size() >= kParallelSplitMinRows ? params.executor : nullptr;
   ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
       executor, num_features, [&](size_t f) -> Status {
-        specs[f] = EvaluateFeature(ctx, rows, node_id, f);
+        specs[f] = EvaluateFeature(ctx, rows, f);
         return Status::Ok();
       }));
   SplitSpec best;
@@ -281,36 +246,16 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
   features_ = std::move(*features);
   nodes_.clear();
 
-  // The indexed path requires strictly ascending fit rows for bit-identity
-  // (see FitContext::workspace); any other row set silently keeps the
-  // legacy per-node sorts. In practice every regression fit in this
-  // codebase trains on ascending row sets.
-  const FeatureIndex* index = nullptr;
-  std::optional<FeatureIndex> local_index;
-  std::optional<IndexedSplitWorkspace> workspace;
-  if (params_.use_feature_index && StrictlyAscending(rows)) {
-    if (params_.feature_index != nullptr) {
-      if (params_.feature_index->num_rows() != dataset.num_rows() ||
-          !params_.feature_index->Covers(features_)) {
-        return InvalidArgumentError(
-            "feature_index does not cover this dataset's feature columns");
-      }
-      index = params_.feature_index;
-    } else {
-      auto built = FeatureIndex::Build(dataset, features_, params_.executor);
-      if (!built.ok()) return built.status();
-      local_index.emplace(std::move(*built));
-      index = &*local_index;
-    }
-    workspace.emplace(*index, dataset, features_, rows, params_.executor);
-  }
+  std::optional<HistogramIndex> index;
+  auto resolved = ResolveFitIndex(nullptr, dataset, features_, rows,
+                                  params_.executor, &index);
+  if (!resolved.ok()) return resolved.status();
 
   FitContext ctx;
-  ctx.dataset = &dataset;
   ctx.target = &target.value();
   ctx.features = &features_;
   ctx.params = &params_;
-  ctx.workspace = workspace ? &*workspace : nullptr;
+  ctx.index = *resolved;
 
   auto make_node = [&](const std::vector<size_t>& node_rows, int depth) {
     TargetStats stats;
@@ -341,8 +286,7 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
     if (node.depth >= params_.max_depth) return Status::Ok();
     if (node.count < params_.min_samples_split) return Status::Ok();
     if (node.sse <= 1e-12) return Status::Ok();  // Already pure.
-    auto spec =
-        FindBestSplit(ctx, node_rows[static_cast<size_t>(node_id)], node_id);
+    auto spec = FindBestSplit(ctx, node_rows[static_cast<size_t>(node_id)]);
     if (!spec.ok()) return spec.status();
     if (spec->valid) heap.push({spec->gain, node_id, std::move(*spec)});
     return Status::Ok();
@@ -377,11 +321,6 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
     const int right_id = make_node(right_rows, node_depth + 1);
     node_rows.push_back(std::move(left_rows));
     node_rows.push_back(std::move(right_rows));
-    if (workspace) {
-      workspace->SplitNode(node_id, left_id, right_id, [&](uint32_t r) {
-        return go_left(static_cast<size_t>(r));
-      });
-    }
 
     Node& node = nodes_[static_cast<size_t>(node_id)];
     node.is_leaf = false;
@@ -601,19 +540,12 @@ util::Result<RegressionTree> RegressionTree::Deserialize(
       return InvalidArgumentError("bad missing direction");
     }
     node.missing_goes_left = value != 0;
-    if (!util::ParseInt(parts[6], &value)) {
-      return InvalidArgumentError("bad left child");
-    }
-    node.left = static_cast<int>(value);
-    if (!util::ParseInt(parts[7], &value)) {
-      return InvalidArgumentError("bad right child");
-    }
-    node.right = static_cast<int>(value);
-    if (!node.is_leaf &&
-        (node.left < 0 || node.left >= *node_count || node.right < 0 ||
-         node.right >= *node_count)) {
-      return InvalidArgumentError("child index out of range");
-    }
+    auto left = ParseChildIndex(parts[6], i, *node_count, node.is_leaf);
+    if (!left.ok()) return left.status();
+    node.left = *left;
+    auto right = ParseChildIndex(parts[7], i, *node_count, node.is_leaf);
+    if (!right.ok()) return right.status();
+    node.right = *right;
     if (!util::ParseInt(parts[8], &value) || value < 0) {
       return InvalidArgumentError("bad count");
     }

@@ -5,7 +5,8 @@
 // determination (r-squared) ... Interval models tended to be more accurate
 // but with less compact models." Splits maximize the variance reduction
 // (SSE decrease); an F test of the two-group means gates each split, and
-// leaf predictions are training means.
+// leaf predictions are training means. Split search runs over a private
+// exact ml::HistogramIndex of the fit rows, like the decision tree's.
 #ifndef ROADMINE_ML_REGRESSION_TREE_H_
 #define ROADMINE_ML_REGRESSION_TREE_H_
 
@@ -23,8 +24,6 @@ class Executor;
 
 namespace roadmine::ml {
 
-class FeatureIndex;
-
 struct RegressionTreeParams {
   int max_depth = 16;
   size_t min_samples_split = 40;
@@ -33,15 +32,6 @@ struct RegressionTreeParams {
   size_t max_leaves = 0;
   // F-test stop: reject splits whose p-value exceeds this.
   double significance_level = 0.05;
-  // Search numeric splits over a pre-sorted FeatureIndex. Regression
-  // statistics are order-sensitive double sums, so the indexed path is
-  // additionally gated on the fit rows being strictly ascending (the only
-  // case where it provably matches the legacy accumulation order); other
-  // row sets silently use the legacy per-node-sort path. Trees are
-  // bit-identical either way.
-  bool use_feature_index = true;
-  // Optional shared pre-built index; see DecisionTreeParams::feature_index.
-  const FeatureIndex* feature_index = nullptr;
   // Optional parallelism for the per-feature split scan (not owned, may be
   // null = serial). Results are bit-identical either way.
   exec::Executor* executor = nullptr;

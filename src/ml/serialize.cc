@@ -1,6 +1,7 @@
 #include "ml/serialize.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -53,8 +54,9 @@ util::Result<std::vector<FeatureRef>> ParseFeatureSection(
   if (*count <= 0 && !allow_empty) {
     return InvalidArgumentError("empty feature list");
   }
+  // No reserve: the count is untrusted text, so the list grows only as
+  // feature lines are actually read.
   std::vector<FeatureRef> features;
-  features.reserve(static_cast<size_t>(*count));
   for (int64_t i = 0; i < *count; ++i) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated feature list");
@@ -88,6 +90,21 @@ util::Result<int64_t> ParseCountLine(LineCursor& cursor,
     return InvalidArgumentError("bad '" + keyword + "' count line");
   }
   return count;
+}
+
+util::Result<int> ParseChildIndex(const std::string& text, int64_t parent,
+                                  int64_t node_count, bool is_leaf) {
+  int64_t child = 0;
+  if (!util::ParseInt(text, &child)) {
+    return InvalidArgumentError("bad child index '" + text + "'");
+  }
+  const bool forward = child > parent && child < node_count &&
+                       child <= std::numeric_limits<int>::max();
+  if (!forward && !(is_leaf && child == -1)) {
+    return InvalidArgumentError("child index " + text + " of node " +
+                                std::to_string(parent) + " out of range");
+  }
+  return static_cast<int>(child);
 }
 
 }  // namespace roadmine::ml

@@ -64,6 +64,17 @@ void AppendFeatureSection(const std::vector<FeatureRef>& features,
 [[nodiscard]] util::Result<int64_t> ParseCountLine(LineCursor& cursor,
                                      const std::string& keyword);
 
+// Parses the child index field of node `parent` in a serialized tree of
+// `node_count` nodes. Fit appends children after their parent, so an
+// internal node's child must satisfy parent < child < node_count, which
+// also keeps a loaded tree acyclic: every walk from the root ends at a
+// leaf. Leaves hold -1, or their former children once pruned. The value
+// is range-checked as an int64 before it is narrowed.
+[[nodiscard]] util::Result<int> ParseChildIndex(const std::string& text,
+                                                int64_t parent,
+                                                int64_t node_count,
+                                                bool is_leaf);
+
 }  // namespace roadmine::ml
 
 #endif  // ROADMINE_ML_SERIALIZE_H_

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/trainers.h"
+#include "exec/executor.h"
+#include "ml/bagging.h"
+#include "ml/decision_tree.h"
 #include "ml/naive_bayes.h"
 #include "util/rng.h"
 
@@ -93,6 +97,66 @@ TEST(CrossValidationTest, NonStratifiedOptionWorks) {
   auto cv = CrossValidateBinary(ds, "y", NaiveBayesTrainer(), options);
   ASSERT_TRUE(cv.ok());
   EXPECT_EQ(cv->pooled_confusion.total(), 400u);
+}
+
+// A trainer that fits `Model` on exactly the fold's training rows, with
+// nothing shared across folds.
+template <typename Model, typename Params>
+BinaryTrainer PrivateTreeTrainer(Params params) {
+  return [params](const data::Dataset& ds, const std::vector<size_t>& train)
+             -> util::Result<FoldScorer> {
+    auto model = std::make_shared<Model>(params);
+    ROADMINE_RETURN_IF_ERROR(model->Fit(ds, "y", {"x"}, train));
+    return FoldScorer(RowScorer(
+        [model, &ds](size_t row) { return model->PredictProba(ds, row); }));
+  };
+}
+
+void ExpectSameCv(const CrossValidationResult& a,
+                  const CrossValidationResult& b) {
+  EXPECT_EQ(a.pooled_confusion.true_positive, b.pooled_confusion.true_positive);
+  EXPECT_EQ(a.pooled_confusion.false_positive,
+            b.pooled_confusion.false_positive);
+  EXPECT_EQ(a.pooled_confusion.true_negative, b.pooled_confusion.true_negative);
+  EXPECT_EQ(a.pooled_confusion.false_negative,
+            b.pooled_confusion.false_negative);
+  EXPECT_EQ(a.auc, b.auc);
+  ASSERT_EQ(a.per_fold.size(), b.per_fold.size());
+  for (size_t f = 0; f < a.per_fold.size(); ++f) {
+    EXPECT_EQ(a.per_fold[f].accuracy, b.per_fold[f].accuracy) << "fold " << f;
+  }
+}
+
+// Tree specs run through ClassifierTrainer score exactly like a tree fitted
+// on the fold's training rows alone, serially and on a pool.
+TEST(CrossValidationTest, TreeTrainerFoldsSeeOnlyTheirTrainingRows) {
+  data::Dataset ds = SeparableDataset(600, 15);
+  ml::ClassifierSpec dt = ml::Spec("decision_tree");
+  dt.decision_tree.min_samples_leaf = 5;
+  dt.decision_tree.min_samples_split = 10;
+  ml::ClassifierSpec bagged = ml::Spec("bagged_trees");
+  bagged.bagged_trees.num_trees = 4;
+  bagged.bagged_trees.tree = dt.decision_tree;
+
+  exec::ThreadPool pool(4);
+  CrossValidationOptions serial, parallel;
+  parallel.executor = &pool;
+  const std::vector<std::pair<ml::ClassifierSpec, BinaryTrainer>> cases = {
+      {dt, PrivateTreeTrainer<ml::DecisionTreeClassifier>(dt.decision_tree)},
+      {bagged,
+       PrivateTreeTrainer<ml::BaggedTreesClassifier>(bagged.bagged_trees)},
+  };
+  for (const auto& [spec, reference_trainer] : cases) {
+    SCOPED_TRACE(spec.name);
+    auto reference = CrossValidateBinary(ds, "y", reference_trainer, serial);
+    ASSERT_TRUE(reference.ok());
+    const BinaryTrainer trainer = ClassifierTrainer(spec, "y", {"x"});
+    for (const CrossValidationOptions& options : {serial, parallel}) {
+      auto cv = CrossValidateBinary(ds, "y", trainer, options);
+      ASSERT_TRUE(cv.ok());
+      ExpectSameCv(*cv, *reference);
+    }
+  }
 }
 
 }  // namespace

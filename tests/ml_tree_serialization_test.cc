@@ -1,10 +1,16 @@
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ml/bagging.h"
 #include "ml/decision_tree.h"
+#include "ml/m5_tree.h"
+#include "ml/regression_tree.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace roadmine::ml {
 namespace {
@@ -118,6 +124,196 @@ TEST(TreeSerializationTest, HeaderVersionChecked) {
   std::string blob = tree.Serialize();
   blob.replace(0, blob.find('\n'), "roadmine-decision-tree v999");
   EXPECT_FALSE(DecisionTreeClassifier::Deserialize(blob, ds).ok());
+}
+
+// --- Child-index validation --------------------------------------------
+//
+// A child index that wraps when narrowed to int (4294967296 -> 0), points
+// back at its own node or an ancestor, or runs past the node count would
+// make prediction loop forever or read out of bounds; every tree loader
+// and container must reject it.
+
+// The text with field `field` (6 = left child, 7 = right child) of the
+// `nth` internal node line replaced by `value`.
+std::string WithChild(const std::string& blob, size_t nth, size_t field,
+                      const std::string& value) {
+  std::vector<std::string> lines = util::Split(blob, '\n');
+  for (std::string& line : lines) {
+    if (!util::StartsWith(line, "node\t1\t") &&
+        util::StartsWith(line, "node\t") && nth-- == 0) {
+      std::vector<std::string> parts = util::Split(line, '\t');
+      parts[field] = value;
+      line = util::Join(parts, "\t");
+      return util::Join(lines, "\n");
+    }
+  }
+  ADD_FAILURE() << "no internal node " << nth;
+  return blob;
+}
+
+// Corruptions of the first and second internal nodes (the root, then its
+// first internal descendant at index >= 1).
+std::vector<std::string> BadChildren(const std::string& blob) {
+  return {
+      WithChild(blob, 0, 6, "4294967296"),  // Wraps to the root itself.
+      WithChild(blob, 0, 7, "4294967297"),  // Wraps to 1.
+      WithChild(blob, 0, 6, "0"),           // Self-loop.
+      WithChild(blob, 1, 7, "0"),           // Back to the root.
+      WithChild(blob, 0, 6, "-1"),          // Internal node without child.
+      WithChild(blob, 0, 7, "999999"),      // Past the node count.
+      WithChild(blob, 0, 6, "2147483648"),  // Past INT_MAX.
+  };
+}
+
+data::Dataset RegressionDataset() {
+  data::Dataset ds = MixedDataset(800, 21);
+  std::vector<double> target;
+  for (size_t r = 0; r < ds.num_rows(); ++r) {
+    target.push_back(ds.column(2).NumericAt(r) * 3.0 + (r % 5));
+  }
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("t", target)).ok());
+  return ds;
+}
+
+TEST(TreeSerializationTest, DecisionTreeRejectsBadChildIndices) {
+  data::Dataset ds = MixedDataset(800, 13);
+  const std::string blob = FitTree(ds).Serialize();
+  ASSERT_TRUE(DecisionTreeClassifier::Deserialize(blob, ds).ok());
+  for (const std::string& bad : BadChildren(blob)) {
+    EXPECT_FALSE(DecisionTreeClassifier::Deserialize(bad, ds).ok()) << bad;
+  }
+}
+
+TEST(TreeSerializationTest, PrunedDecisionTreeStillLoads) {
+  // Pruned-away subtrees leave leaves that keep their former children.
+  data::Dataset ds = MixedDataset(800, 17);
+  DecisionTreeParams params;
+  params.min_samples_leaf = 2;
+  params.min_samples_split = 4;
+  DecisionTreeClassifier tree(params);
+  std::vector<size_t> train, validation;
+  for (size_t r = 0; r < ds.num_rows(); ++r) {
+    (r % 3 == 0 ? validation : train).push_back(r);
+  }
+  ASSERT_TRUE(tree.Fit(ds, "y", {"x", "c"}, train).ok());
+  const size_t leaves = tree.leaf_count();
+  ASSERT_TRUE(tree.PruneReducedError(ds, "y", validation).ok());
+  ASSERT_LT(tree.leaf_count(), leaves);
+  auto loaded = DecisionTreeClassifier::Deserialize(tree.Serialize(), ds);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Serialize(), tree.Serialize());
+}
+
+TEST(TreeSerializationTest, RegressionTreeRejectsBadChildIndices) {
+  data::Dataset ds = RegressionDataset();
+  RegressionTree tree(RegressionTreeParams{.min_samples_leaf = 20});
+  ASSERT_TRUE(tree.Fit(ds, "t", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = tree.Serialize();
+  ASSERT_TRUE(RegressionTree::Deserialize(blob, ds).ok());
+  for (const std::string& bad : BadChildren(blob)) {
+    EXPECT_FALSE(RegressionTree::Deserialize(bad, ds).ok()) << bad;
+  }
+}
+
+TEST(TreeSerializationTest, M5TreeRejectsBadChildIndices) {
+  data::Dataset ds = RegressionDataset();
+  M5TreeParams params;
+  params.tree.min_samples_leaf = 20;
+  M5Tree tree(params);
+  ASSERT_TRUE(tree.Fit(ds, "t", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = tree.Serialize();
+  ASSERT_TRUE(M5Tree::Deserialize(blob, ds).ok());
+  for (const std::string& bad : BadChildren(blob)) {
+    EXPECT_FALSE(M5Tree::Deserialize(bad, ds).ok()) << bad;
+  }
+}
+
+TEST(TreeSerializationTest, BaggedTreesRejectBadChildIndices) {
+  data::Dataset ds = MixedDataset(800, 19);
+  BaggedTreesParams params;
+  params.num_trees = 3;
+  params.tree.min_samples_leaf = 20;
+  BaggedTreesClassifier bagged(params);
+  ASSERT_TRUE(bagged.Fit(ds, "y", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = bagged.Serialize();
+  ASSERT_TRUE(BaggedTreesClassifier::Deserialize(blob, ds).ok());
+  for (const std::string& bad : BadChildren(blob)) {
+    EXPECT_FALSE(BaggedTreesClassifier::Deserialize(bad, ds).ok()) << bad;
+  }
+}
+
+// --- Feature-count validation ------------------------------------------
+//
+// The feature count is untrusted text: a huge one must end in a clean
+// "truncated feature list" error, never in an allocation sized by it.
+
+// The text with its first "features <n>" line's count replaced by `count`.
+std::string WithFeatureCount(const std::string& blob,
+                             const std::string& count) {
+  std::vector<std::string> lines = util::Split(blob, '\n');
+  for (std::string& line : lines) {
+    if (util::StartsWith(line, "features ")) {
+      line = "features " + count;
+      return util::Join(lines, "\n");
+    }
+  }
+  ADD_FAILURE() << "no features line";
+  return blob;
+}
+
+const std::vector<std::string> kHugeFeatureCounts = {
+    "9000000000000000000", "4294967296", "1000000000"};
+
+TEST(TreeSerializationTest, DecisionTreeRejectsHugeFeatureCount) {
+  data::Dataset ds = MixedDataset(500, 23);
+  const std::string blob = FitTree(ds).Serialize();
+  for (const std::string& count : kHugeFeatureCounts) {
+    EXPECT_FALSE(
+        DecisionTreeClassifier::Deserialize(WithFeatureCount(blob, count), ds)
+            .ok())
+        << count;
+  }
+}
+
+TEST(TreeSerializationTest, BaggedTreesRejectHugeFeatureCount) {
+  data::Dataset ds = MixedDataset(500, 29);
+  BaggedTreesParams params;
+  params.num_trees = 2;
+  params.tree.min_samples_leaf = 20;
+  BaggedTreesClassifier bagged(params);
+  ASSERT_TRUE(bagged.Fit(ds, "y", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = bagged.Serialize();
+  for (const std::string& count : kHugeFeatureCounts) {
+    EXPECT_FALSE(
+        BaggedTreesClassifier::Deserialize(WithFeatureCount(blob, count), ds)
+            .ok())
+        << count;
+  }
+}
+
+TEST(TreeSerializationTest, RegressionTreeRejectsHugeFeatureCount) {
+  data::Dataset ds = RegressionDataset();
+  RegressionTree tree(RegressionTreeParams{.min_samples_leaf = 20});
+  ASSERT_TRUE(tree.Fit(ds, "t", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = tree.Serialize();
+  for (const std::string& count : kHugeFeatureCounts) {
+    EXPECT_FALSE(
+        RegressionTree::Deserialize(WithFeatureCount(blob, count), ds).ok())
+        << count;
+  }
+}
+
+TEST(TreeSerializationTest, M5TreeRejectsHugeFeatureCount) {
+  data::Dataset ds = RegressionDataset();
+  M5TreeParams params;
+  params.tree.min_samples_leaf = 20;
+  M5Tree tree(params);
+  ASSERT_TRUE(tree.Fit(ds, "t", {"x", "c"}, ds.AllRowIndices()).ok());
+  const std::string blob = tree.Serialize();
+  for (const std::string& count : kHugeFeatureCounts) {
+    EXPECT_FALSE(M5Tree::Deserialize(WithFeatureCount(blob, count), ds).ok())
+        << count;
+  }
 }
 
 }  // namespace
