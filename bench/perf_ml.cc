@@ -18,8 +18,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -218,6 +220,9 @@ BENCHMARK(BM_StratifiedSplit);
 // ---------------------------------------------------------------------------
 
 constexpr char kFailTag[] = "perf_ml instrumented pass failed";
+
+// Serial/threaded pairs timed per exec stage (see RunInstrumentedPass).
+constexpr int kSpeedupTrials = 5;
 
 // Runs one timed pass over every substrate the microbenches cover and
 // records stage timings plus the headline model metrics. Returns false
@@ -419,17 +424,23 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
     }
   }
 
-  // --- exec layer: serial vs 4-thread runs over the three parallel hot
-  // paths, recording <stage>_speedup_4t ratios. Each parallel result is
-  // also checked bit-identical to its serial twin — the exec determinism
+  // --- exec layer: serial vs 4-thread runs over the parallel hot paths,
+  // recording <stage>_speedup_4t ratios. Each parallel result is also
+  // checked bit-identical to its serial twin — the exec determinism
   // contract, enforced here on paper-scale (or smoke-scale) data.
   // Speedups track available cores; on a single-core host they hover
   // near 1x while the bit-identity checks still bite.
-  // A PoolProfiler watches every parallel run: per-thread busy
-  // fractions, queue-depth stats and task-time quantiles land in the
-  // report's "profile" section, and <stage>_busy_fraction_4t /
-  // <stage>_imbalance_4t become first-class bench metrics — the numbers
-  // that explain the speedup ratios right below them.
+  // A single serial/threaded pair of a 20–200 ms stage swings by 2x from
+  // run to run on a shared host, so every stage runs kSpeedupTrials
+  // pairs, serial and threaded alternating: <stage>_speedup_4t is the
+  // median of the per-pair ratios, <stage>_speedup_4t_min/_max their
+  // spread, and the <stage>_serial/<stage>_4_threads timings the median
+  // run times.
+  // A PoolProfiler watches the CV and bagging runs: per-thread busy
+  // fractions, queue-depth stats and task-time quantiles of the median
+  // pair land in the report's "profile" section, and
+  // <stage>_busy_fraction_4t / <stage>_imbalance_4t become first-class
+  // bench metrics — the numbers that explain the speedup ratios.
   {
     exec::ThreadPool pool(4);
     exec::PoolProfiler profiler;
@@ -441,149 +452,167 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
         "hardware_threads",
         // roadmine-lint: allow(determinism) — host metadata probe, no threading.
         static_cast<double>(std::thread::hardware_concurrency()));
-    auto timed_ms = [&ctx](const char* stage, auto&& fn) {
-      const auto start = std::chrono::steady_clock::now();
-      fn();
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      ctx.report().RecordTimingMs(stage, ms);
-      return ms;
+    ctx.report().RecordMetric("speedup_trials", kSpeedupTrials);
+
+    // Times `run(nullptr)` against `run(&pool)` over kSpeedupTrials
+    // alternating pairs and records the stage's medians and spread.
+    // `same` compares each threaded result with its serial twin. With a
+    // non-null `profile`, profiles every threaded run and keeps the one
+    // of the median pair. Returns false (after logging) on an error or a
+    // divergence.
+    auto measure_speedup = [&](const std::string& stage, auto&& run,
+                               auto&& same,
+                               exec::PoolProfile* profile) -> bool {
+      auto timed_ms = [](auto&& fn) {
+        const auto start = std::chrono::steady_clock::now();
+        auto result = fn();
+        return std::make_pair(
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            std::move(result));
+      };
+      std::vector<double> serial_ms, threaded_ms, ratios;
+      std::vector<exec::PoolProfile> profiles;
+      for (int trial = 0; trial < kSpeedupTrials; ++trial) {
+        auto [s_ms, serial] = timed_ms([&] { return run(nullptr); });
+        if (profile != nullptr) profiler.Begin(pool.concurrency());
+        auto [t_ms, threaded] = timed_ms([&] { return run(&pool); });
+        if (profile != nullptr) {
+          profiles.push_back(profiler.Finish("exec." + stage));
+        }
+        if (!serial.ok() || !threaded.ok()) {
+          obs::LogError(kFailTag,
+                        {{"stage", stage + "_speedup"},
+                         {"error", (serial.ok() ? threaded : serial)
+                                       .status()
+                                       .ToString()}});
+          return false;
+        }
+        if (!same(*serial, *threaded)) {
+          obs::LogError(kFailTag,
+                        {{"stage", stage + "_speedup"},
+                         {"trial", trial},
+                         {"error", "serial/parallel results diverged"}});
+          return false;
+        }
+        serial_ms.push_back(s_ms);
+        threaded_ms.push_back(t_ms);
+        ratios.push_back(s_ms / t_ms);
+      }
+      std::vector<size_t> order(ratios.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(),
+                [&](size_t a, size_t b) { return ratios[a] < ratios[b]; });
+      const size_t median_pair = order[order.size() / 2];
+      auto median = [](std::vector<double> values) {
+        std::sort(values.begin(), values.end());
+        return values[values.size() / 2];
+      };
+      ctx.report().RecordTimingMs(stage + "_serial", median(serial_ms));
+      ctx.report().RecordTimingMs(stage + "_4_threads", median(threaded_ms));
+      const std::string metric = stage + "_speedup_4t";
+      ctx.report().RecordMetric(metric, ratios[median_pair]);
+      ctx.report().RecordMetric(metric + "_min", ratios[order.front()]);
+      ctx.report().RecordMetric(metric + "_max", ratios[order.back()]);
+      if (profile != nullptr) *profile = profiles[median_pair];
+      return true;
     };
 
     // Cross-validation folds.
     const eval::BinaryTrainer trainer = eval::ClassifierTrainer(
         ml::Spec("naive_bayes"), "crash_prone_gt8", features);
-    eval::CrossValidationOptions cv_options;
-    cv_options.folds = smoke ? 4 : 10;
-    util::Result<eval::CrossValidationResult> serial_cv =
-        util::InternalError("not run");
-    util::Result<eval::CrossValidationResult> parallel_cv =
-        util::InternalError("not run");
-    const double cv_serial_ms = timed_ms("cv_serial", [&] {
-      serial_cv =
-          eval::CrossValidateBinary(ds, "crash_prone_gt8", trainer, cv_options);
-    });
-    cv_options.executor = &pool;
-    profiler.Begin(pool.concurrency());
-    const double cv_parallel_ms = timed_ms("cv_4_threads", [&] {
-      parallel_cv =
-          eval::CrossValidateBinary(ds, "crash_prone_gt8", trainer, cv_options);
-    });
-    const exec::PoolProfile cv_profile = profiler.Finish("exec.cv");
-    if (!serial_cv.ok() || !parallel_cv.ok()) {
-      obs::LogError(kFailTag, {{"stage", "cv_speedup"}});
+    exec::PoolProfile cv_profile;
+    if (!measure_speedup(
+            "cv",
+            [&](exec::Executor* executor) {
+              eval::CrossValidationOptions cv_options;
+              cv_options.folds = smoke ? 4 : 10;
+              cv_options.executor = executor;
+              return eval::CrossValidateBinary(ds, "crash_prone_gt8", trainer,
+                                               cv_options);
+            },
+            [](const eval::CrossValidationResult& serial,
+               const eval::CrossValidationResult& parallel) {
+              return serial.auc == parallel.auc &&
+                     serial.pooled_confusion.true_positive ==
+                         parallel.pooled_confusion.true_positive &&
+                     serial.pooled_confusion.false_positive ==
+                         parallel.pooled_confusion.false_positive;
+            },
+            &cv_profile)) {
       return false;
     }
-    if (serial_cv->auc != parallel_cv->auc ||
-        serial_cv->pooled_confusion.true_positive !=
-            parallel_cv->pooled_confusion.true_positive ||
-        serial_cv->pooled_confusion.false_positive !=
-            parallel_cv->pooled_confusion.false_positive) {
-      obs::LogError(kFailTag,
-                    {{"stage", "cv_speedup"},
-                     {"error", "serial/parallel CV results diverged"}});
-      return false;
-    }
-    ctx.report().RecordMetric("cv_speedup_4t", cv_serial_ms / cv_parallel_ms);
     ctx.report().RecordMetric("cv_busy_fraction_4t",
                               cv_profile.busy_fraction_mean);
     ctx.report().RecordMetric("cv_imbalance_4t", cv_profile.imbalance);
 
     // Generator segment blocks.
-    roadgen::GeneratorConfig gen_config;
-    gen_config.num_segments = smoke ? 2000 : 12000;
-    gen_config.seed = 7;
-    util::Result<std::vector<roadgen::RoadSegment>> serial_segments =
-        util::InternalError("not run");
-    util::Result<std::vector<roadgen::RoadSegment>> parallel_segments =
-        util::InternalError("not run");
-    const double gen_serial_ms = timed_ms("generator_serial", [&] {
-      serial_segments = roadgen::RoadNetworkGenerator(gen_config).Generate();
-    });
-    gen_config.executor = &pool;
-    const double gen_parallel_ms = timed_ms("generator_4_threads", [&] {
-      parallel_segments = roadgen::RoadNetworkGenerator(gen_config).Generate();
-    });
-    if (!serial_segments.ok() || !parallel_segments.ok()) {
-      obs::LogError(kFailTag, {{"stage", "generator_speedup"}});
+    if (!measure_speedup(
+            "generator",
+            [&](exec::Executor* executor) {
+              roadgen::GeneratorConfig gen_config;
+              gen_config.num_segments = smoke ? 2000 : 12000;
+              gen_config.seed = 7;
+              gen_config.executor = executor;
+              return roadgen::RoadNetworkGenerator(gen_config).Generate();
+            },
+            [](const std::vector<roadgen::RoadSegment>& serial,
+               const std::vector<roadgen::RoadSegment>& parallel) {
+              if (serial.size() != parallel.size()) return false;
+              for (size_t i = 0; i < serial.size(); ++i) {
+                if (serial[i].total_crashes() != parallel[i].total_crashes()) {
+                  return false;
+                }
+              }
+              return true;
+            },
+            nullptr)) {
       return false;
     }
-    for (size_t i = 0; i < serial_segments->size(); ++i) {
-      if ((*serial_segments)[i].total_crashes() !=
-          (*parallel_segments)[i].total_crashes()) {
-        obs::LogError(kFailTag,
-                      {{"stage", "generator_speedup"},
-                       {"error", "serial/parallel networks diverged"}});
-        return false;
-      }
-    }
-    ctx.report().RecordMetric("generator_speedup_4t",
-                              gen_serial_ms / gen_parallel_ms);
 
     // Bagged ensemble members.
-    ml::BaggedTreesParams bag_params;
-    bag_params.num_trees = smoke ? 6 : 32;
-    bag_params.tree.min_samples_leaf = 30;
-    bag_params.tree.max_leaves = 32;
-    std::vector<double> serial_probs, parallel_probs;
-    const double bag_serial_ms = timed_ms("bagging_serial", [&] {
-      ml::BaggedTreesClassifier model(bag_params);
-      if (model.Fit(ds, "crash_prone_gt8", features, all_rows).ok()) {
-        serial_probs = *model.PredictBatch(ds, all_rows);
-      }
-    });
-    bag_params.executor = &pool;
-    profiler.Begin(pool.concurrency());
-    const double bag_parallel_ms = timed_ms("bagging_4_threads", [&] {
-      ml::BaggedTreesClassifier model(bag_params);
-      if (model.Fit(ds, "crash_prone_gt8", features, all_rows).ok()) {
-        parallel_probs = *model.PredictBatch(ds, all_rows);
-      }
-    });
-    const exec::PoolProfile bagging_profile = profiler.Finish("exec.bagging");
-    if (serial_probs.empty() || serial_probs != parallel_probs) {
-      obs::LogError(kFailTag,
-                    {{"stage", "bagging_speedup"},
-                     {"error", "serial/parallel ensembles diverged"}});
+    exec::PoolProfile bagging_profile;
+    if (!measure_speedup(
+            "bagging",
+            [&](exec::Executor* executor) -> util::Result<std::vector<double>> {
+              ml::BaggedTreesParams bag_params;
+              bag_params.num_trees = smoke ? 6 : 32;
+              bag_params.tree.min_samples_leaf = 30;
+              bag_params.tree.max_leaves = 32;
+              bag_params.executor = executor;
+              ml::BaggedTreesClassifier model(bag_params);
+              ROADMINE_RETURN_IF_ERROR(
+                  model.Fit(ds, "crash_prone_gt8", features, all_rows));
+              return model.PredictBatch(ds, all_rows);
+            },
+            std::equal_to<std::vector<double>>(), &bagging_profile)) {
       return false;
     }
-    ctx.report().RecordMetric("bagging_speedup_4t",
-                              bag_serial_ms / bag_parallel_ms);
     ctx.report().RecordMetric("bagging_busy_fraction_4t",
                               bagging_profile.busy_fraction_mean);
     ctx.report().RecordMetric("bagging_imbalance_4t",
                               bagging_profile.imbalance);
 
-    // Gradient-boosting histogram build + split scan. The serialized
-    // ensembles must match byte-for-byte — the boosting determinism
-    // contract on paper-scale data. (Smoke data sits below the executor
-    // row cutoff, so the smoke ratio hovers near 1x by design.)
-    ml::GradientBoostedTreesParams gbt_ab;
-    gbt_ab.num_trees = smoke ? 4 : 16;
-    gbt_ab.max_depth = 4;
-    std::string gbt_serial_text, gbt_parallel_text;
-    const double gbt_serial_ms = timed_ms("gbt_serial", [&] {
-      ml::GradientBoostedTrees model(gbt_ab);
-      if (model.Fit(ds, "crash_prone_gt8", features, all_rows).ok()) {
-        gbt_serial_text = model.Serialize();
-      }
-    });
-    gbt_ab.executor = &pool;
-    const double gbt_parallel_ms = timed_ms("gbt_4_threads", [&] {
-      ml::GradientBoostedTrees model(gbt_ab);
-      if (model.Fit(ds, "crash_prone_gt8", features, all_rows).ok()) {
-        gbt_parallel_text = model.Serialize();
-      }
-    });
-    if (gbt_serial_text.empty() || gbt_serial_text != gbt_parallel_text) {
-      obs::LogError(kFailTag,
-                    {{"stage", "gbt_speedup"},
-                     {"error", "serial/parallel boosted ensembles diverged"}});
+    // Gradient-boosting histogram build. The serialized ensembles must
+    // match byte-for-byte — the boosting determinism contract on
+    // paper-scale data. (Smoke data sits below the executor row cutoff,
+    // so the smoke ratio hovers near 1x by design.)
+    if (!measure_speedup(
+            "gbt",
+            [&](exec::Executor* executor) -> util::Result<std::string> {
+              ml::GradientBoostedTreesParams gbt_ab;
+              gbt_ab.num_trees = smoke ? 4 : 16;
+              gbt_ab.max_depth = 4;
+              gbt_ab.executor = executor;
+              ml::GradientBoostedTrees model(gbt_ab);
+              ROADMINE_RETURN_IF_ERROR(
+                  model.Fit(ds, "crash_prone_gt8", features, all_rows));
+              return model.Serialize();
+            },
+            std::equal_to<std::string>(), nullptr)) {
       return false;
     }
-    ctx.report().RecordMetric("gbt_speedup_4t",
-                              gbt_serial_ms / gbt_parallel_ms);
 
     obs::JsonWriter profile;
     profile.BeginObject();

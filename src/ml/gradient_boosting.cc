@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "exec/executor.h"
@@ -27,11 +28,16 @@ namespace {
 
 double Sigmoid(double margin) { return 1.0 / (1.0 + std::exp(-margin)); }
 
-// Engage the executor for histogram builds / split scans only at nodes at
-// least this large (same rationale and value as the exact-greedy trees:
-// the cutoff depends only on the node's row count, never the thread
-// count, and per-feature work merges in feature order regardless).
+// Engage the executor for histogram builds only at nodes at least this
+// large (same rationale and value as the exact-greedy trees: the cutoff
+// depends only on the node's row count, never the thread count, and each
+// feature's slots sum in row order regardless).
 constexpr size_t kParallelMinRows = 4096;
+
+// Doubles per cache line: threaded histogram builds give every feature
+// task its own whole lines, so no two tasks ever write the same line.
+constexpr size_t kLineBytes = 64;
+constexpr size_t kLineDoubles = kLineBytes / sizeof(double);
 
 // One candidate split of one node; merged across features in feature
 // order with a strict gain comparison.
@@ -88,30 +94,70 @@ struct TreeContext {
   size_t total_slots = 0;
 };
 
-// Accumulates the histogram of `rows`. Each active feature writes only
-// its own slot range and sums in row order, so an executor changes
-// nothing but speed.
+// Accumulates the histogram of `rows`. Each active feature sums its own
+// slot range in row order, so an executor changes nothing but speed.
+// Threaded, each feature task accumulates into its own cache-line-aligned
+// block of a scratch buffer (features with a handful of bins would
+// otherwise false-share lines of the node's arrays once per row); the
+// blocks are copied into `out` after the batch.
 Status BuildHist(const TreeContext& ctx, const std::vector<size_t>& rows,
                  NodeHist* out) {
   out->Allocate(ctx.total_slots);
+  // Feature a's rows into its slots 0..num_bins (the last one missing).
+  auto accumulate = [&](size_t a, double* g, double* h, double* cnt) {
+    const HistogramIndex::FeatureBins& bins = *ctx.feature_bins[ctx.active[a]];
+    for (size_t r : rows) {
+      const uint16_t code = bins.codes[r];
+      const size_t slot =
+          code == HistogramIndex::kMissingBin ? bins.num_bins : code;
+      g[slot] += (*ctx.grad)[r];
+      h[slot] += (*ctx.hess)[r];
+      cnt[slot] += 1.0;
+    }
+  };
   exec::Executor* executor =
       rows.size() >= kParallelMinRows ? ctx.params->executor : nullptr;
-  return exec::ParallelFor(
-      executor, ctx.active.size(), [&](size_t a) -> Status {
-        const HistogramIndex::FeatureBins& bins =
-            *ctx.feature_bins[ctx.active[a]];
-        const size_t base = ctx.offset[a];
-        const size_t miss = base + bins.num_bins;
-        for (size_t r : rows) {
-          const uint16_t code = bins.codes[r];
-          const size_t slot =
-              code == HistogramIndex::kMissingBin ? miss : base + code;
-          out->g[slot] += (*ctx.grad)[r];
-          out->h[slot] += (*ctx.hess)[r];
-          out->cnt[slot] += 1.0;
-        }
+  if (executor == nullptr) {
+    for (size_t a = 0; a < ctx.active.size(); ++a) {
+      const size_t base = ctx.offset[a];
+      accumulate(a, out->g.data() + base, out->h.data() + base,
+                 out->cnt.data() + base);
+    }
+    return Status::Ok();
+  }
+
+  // Feature a's block holds its g, h and cnt runs, each `width[a]` doubles
+  // (its slot count rounded up to whole lines), from `block[a]` on.
+  const size_t features = ctx.active.size();
+  std::vector<size_t> width(features), block(features);
+  size_t scratch_doubles = 0;
+  for (size_t a = 0; a < features; ++a) {
+    const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
+    width[a] = (slots + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+    block[a] = scratch_doubles;
+    scratch_doubles += 3 * width[a];
+  }
+  std::vector<double> storage(scratch_doubles + kLineDoubles - 1, 0.0);
+  void* aligned = storage.data();
+  size_t space = storage.size() * sizeof(double);
+  std::align(kLineBytes, scratch_doubles * sizeof(double), aligned, space);
+  double* scratch = static_cast<double*>(aligned);
+
+  ROADMINE_RETURN_IF_ERROR(
+      exec::ParallelFor(executor, features, [&](size_t a) -> Status {
+        double* g = scratch + block[a];
+        accumulate(a, g, g + width[a], g + 2 * width[a]);
         return Status::Ok();
-      });
+      }));
+  for (size_t a = 0; a < features; ++a) {
+    const double* g = scratch + block[a];
+    const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
+    const size_t base = ctx.offset[a];
+    std::copy_n(g, slots, out->g.begin() + base);
+    std::copy_n(g + width[a], slots, out->h.begin() + base);
+    std::copy_n(g + 2 * width[a], slots, out->cnt.begin() + base);
+  }
+  return Status::Ok();
 }
 
 // xgboost structure gain of a (GL, HL) / (GR, HR) partition relative to
@@ -211,22 +257,15 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   return best;
 }
 
-// Merges the per-feature winners in active-feature order; strict > makes
-// the merge independent of how the scans were scheduled.
-Result<SplitCand> FindBestSplit(const TreeContext& ctx, const NodeHist& hist,
-                                double node_g, double node_h,
-                                double node_cnt, size_t node_rows) {
-  std::vector<SplitCand> cands(ctx.active.size());
-  exec::Executor* executor =
-      node_rows >= kParallelMinRows ? ctx.params->executor : nullptr;
-  ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
-      executor, ctx.active.size(), [&](size_t a) -> Status {
-        cands[a] = ScanFeature(ctx, hist, a, node_g, node_h, node_cnt);
-        return Status::Ok();
-      }));
+// Scans every active feature in order, keeping the first strictly best
+// candidate. Serial on purpose: a scan is O(bins) whatever the node's row
+// count, far less than the cost of an executor batch.
+SplitCand FindBestSplit(const TreeContext& ctx, const NodeHist& hist,
+                        double node_g, double node_h, double node_cnt) {
   SplitCand best;
   best.gain = ctx.params->gamma;
-  for (SplitCand& cand : cands) {
+  for (size_t a = 0; a < ctx.active.size(); ++a) {
+    SplitCand cand = ScanFeature(ctx, hist, a, node_g, node_h, node_cnt);
     if (cand.valid && cand.gain > best.gain) best = std::move(cand);
   }
   return best;
@@ -495,24 +534,22 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
       if (pending.depth >= params_.max_depth || pending.rows.size() < 2) {
         continue;
       }
-      auto cand = FindBestSplit(ctx, pending.hist, pending.g, pending.h,
-                                static_cast<double>(pending.rows.size()),
-                                pending.rows.size());
-      if (!cand.ok()) return cand.status();
-      if (!cand->valid) continue;
+      SplitCand cand = FindBestSplit(ctx, pending.hist, pending.g, pending.h,
+                                     static_cast<double>(pending.rows.size()));
+      if (!cand.valid) continue;
 
       // Partition by raw value — identical to the bin comparison the scan
       // priced, because every numeric threshold is a bin upper bound.
-      const FeatureRef& ref = features_[cand->feature];
+      const FeatureRef& ref = features_[cand.feature];
       const data::Column& col = dataset.column(ref.column_index);
       auto go_left = [&](size_t r) {
-        if (col.IsMissing(r)) return cand->missing_goes_left;
+        if (col.IsMissing(r)) return cand.missing_goes_left;
         if (ref.type == data::ColumnType::kNumeric) {
-          return col.NumericAt(r) <= cand->threshold;
+          return col.NumericAt(r) <= cand.threshold;
         }
         const auto code = static_cast<size_t>(col.CodeAt(r));
-        return code < cand->left_categories.size() &&
-               cand->left_categories[code] != 0;
+        return code < cand.left_categories.size() &&
+               cand.left_categories[code] != 0;
       };
       std::vector<size_t> left_rows, right_rows;
       for (size_t r : pending.rows) {
@@ -538,10 +575,10 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
       }
 
       Node& node = tree[static_cast<size_t>(pending.node)];
-      node.feature = static_cast<int>(cand->feature);
-      node.threshold = cand->threshold;
-      node.left_categories = std::move(cand->left_categories);
-      node.missing_goes_left = cand->missing_goes_left;
+      node.feature = static_cast<int>(cand.feature);
+      node.threshold = cand.threshold;
+      node.left_categories = std::move(cand.left_categories);
+      node.missing_goes_left = cand.missing_goes_left;
       node.left = left.node;
       node.right = right.node;
 
@@ -839,12 +876,11 @@ Status GradientBoostedTrees::FitPaged(
             static_cast<int32_t>(i);
         LiveNode& live = level[i];
         if (live.depth >= params_.max_depth || live.cnt < 2) continue;
-        auto cand = FindBestSplit(ctx, live.hist, live.g, live.h,
-                                  static_cast<double>(live.cnt), live.cnt);
-        if (!cand.ok()) return cand.status();
-        if (!cand->valid) continue;
+        SplitCand cand = FindBestSplit(ctx, live.hist, live.g, live.h,
+                                       static_cast<double>(live.cnt));
+        if (!cand.valid) continue;
         decisions[i].split = true;
-        decisions[i].cand = std::move(*cand);
+        decisions[i].cand = std::move(cand);
         any_split = true;
       }
       if (!any_split) break;

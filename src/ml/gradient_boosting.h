@@ -66,8 +66,9 @@ struct GradientBoostedTreesParams {
   // Optional pre-built binning shared across fits (CV folds, studies).
   // Not owned; must cover the fit's features over the same dataset.
   const HistogramIndex* histogram_index = nullptr;
-  // Optional parallelism for histogram build and the per-feature split
-  // scan (not owned, may be null = serial). Bit-identical either way.
+  // Optional parallelism for Fit's binning and its histogram builds at
+  // nodes with >= 4096 rows (not owned, may be null = serial); FitPaged
+  // sweeps serially. Bit-identical either way.
   exec::Executor* executor = nullptr;
 };
 

@@ -2,11 +2,16 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/thresholds.h"
 #include "exec/executor.h"
+#include "roadgen/dataset_builder.h"
+#include "roadgen/generator.h"
 #include "serve/flat_model.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
@@ -135,6 +140,66 @@ TEST(GradientBoostingDeterminismTest, BitIdenticalAcrossThreadCounts) {
     GradientBoostedTrees threaded_model(threaded);
     ASSERT_TRUE(
         threaded_model.Fit(ds, "y", {"x0", "x1"}, ds.AllRowIndices()).ok());
+    EXPECT_EQ(threaded_model.Serialize(), serial_text)
+        << threads << " threads";
+  }
+}
+
+// The 15 road attributes at 12,000 segments: large nodes go through the
+// threaded histogram build, and several adjacent features (speed limit,
+// lane count, road class, surface, terrain) have so few bins that their
+// slot ranges in the node histogram share cache lines.
+TEST(GradientBoostingDeterminismTest,
+     ManyNarrowFeaturesBitIdenticalAcrossThreadCounts) {
+  roadgen::GeneratorConfig config;
+  config.num_segments = 12000;
+  config.seed = 99;
+  auto segments = roadgen::RoadNetworkGenerator(config).Generate();
+  ASSERT_TRUE(segments.ok());
+  auto ds = roadgen::BuildSegmentDataset(*segments);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(core::AddCrashProneTarget(
+                  *ds, roadgen::kSegmentCrashCountColumn, /*threshold=*/4)
+                  .ok());
+  const std::string target = core::ThresholdTargetName(4);
+  const std::vector<std::string>& features = roadgen::RoadAttributeColumns();
+
+  // Premise: at least four features own fewer slots (bins + the missing
+  // slot) than one 64-byte line holds doubles.
+  size_t narrow = 0;
+  for (const std::string& name : features) {
+    auto index = ds->ColumnIndex(name);
+    ASSERT_TRUE(index.ok()) << name;
+    const data::Column& col = ds->column(*index);
+    size_t levels = col.category_count();
+    if (col.type() == data::ColumnType::kNumeric) {
+      std::set<double> distinct;
+      for (double v : col.numeric_values()) {
+        if (!std::isnan(v)) distinct.insert(v);
+      }
+      levels = distinct.size();
+    }
+    narrow += levels + 1 <= 8;
+  }
+  ASSERT_GE(narrow, 4u);
+
+  GradientBoostedTreesParams params;
+  params.num_trees = 6;
+  params.max_depth = 5;
+  GradientBoostedTrees serial_model(params);
+  ASSERT_TRUE(serial_model
+                  .Fit(*ds, target, features, ds->AllRowIndices())
+                  .ok());
+  const std::string serial_text = serial_model.Serialize();
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    exec::ThreadPool pool(threads);
+    GradientBoostedTreesParams threaded = params;
+    threaded.executor = &pool;
+    GradientBoostedTrees threaded_model(threaded);
+    ASSERT_TRUE(threaded_model
+                    .Fit(*ds, target, features, ds->AllRowIndices())
+                    .ok());
     EXPECT_EQ(threaded_model.Serialize(), serial_text)
         << threads << " threads";
   }

@@ -96,7 +96,7 @@ TEST(GbtFitPagedTest, MatchesFitFromOnDiskPagesAtAnyThreadCount) {
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ThreadPool pool(threads);
     GradientBoostedTreesParams params = SmallParams();
-    params.executor = &pool;  // Sharded split scan + prefetched pages.
+    params.executor = &pool;  // Scans stay serial; pages prefetch on the pool.
     data::PagedDataset::PageStream stream = paged->Pages(&pool);
     EXPECT_EQ(FitFromSource(stream, params), in_ram)
         << threads << " threads";
