@@ -179,8 +179,9 @@ util::Result<BaggedTreesClassifier> BaggedTreesClassifier::Deserialize(
     return InvalidArgumentError("bad tree count line");
   }
 
+  // No reserve: the count is untrusted text, so the ensemble grows only
+  // as member blocks are actually read.
   BaggedTreesClassifier ensemble;
-  ensemble.trees_.reserve(static_cast<size_t>(tree_count));
   for (int64_t t = 0; t < tree_count; ++t) {
     const std::string* marker = next_line();
     if (marker == nullptr || *marker != "tree " + std::to_string(t)) {

@@ -51,6 +51,8 @@ struct SplitCand {
   size_t threshold_bin = 0;
   std::vector<uint8_t> left_categories;
   bool missing_goes_left = true;
+  // Rows of the node on each side: sums of histogram counts, so exact.
+  double left_count = 0.0, right_count = 0.0;
 };
 
 // Per-node gradient/hessian histogram over the active features: flat
@@ -94,12 +96,63 @@ struct TreeContext {
   size_t total_slots = 0;
 };
 
+// Cache-line-aligned scratch for threaded histogram builds. Active
+// feature a owns one block holding `hists` consecutive histograms of its
+// slots, each a g, an h and a cnt run of width(a) doubles (its slot count
+// rounded up to whole lines), so no two feature tasks ever write the
+// same line: features with a handful of bins would otherwise false-share
+// lines of the node arrays once per row. Allocate it on the thread that
+// runs the batch; zero-filled.
+class HistScratch {
+ public:
+  HistScratch(const TreeContext& ctx, size_t hists) {
+    const size_t features = ctx.active.size();
+    width_.resize(features);
+    block_.resize(features);
+    size_t doubles = 0;
+    for (size_t a = 0; a < features; ++a) {
+      const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
+      width_[a] = (slots + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+      block_[a] = doubles;
+      doubles += 3 * hists * width_[a];
+    }
+    storage_.assign(doubles + kLineDoubles - 1, 0.0);
+    void* aligned = storage_.data();
+    size_t space = storage_.size() * sizeof(double);
+    std::align(kLineBytes, doubles * sizeof(double), aligned, space);
+    first_ = static_cast<size_t>(static_cast<double*>(aligned) -
+                                 storage_.data());
+  }
+
+  size_t width(size_t a) const { return width_[a]; }
+  // Histogram k's g run for active feature a; its h and cnt runs follow
+  // at width(a) and 2 * width(a).
+  double* At(size_t a, size_t k) {
+    return storage_.data() + first_ + block_[a] + 3 * k * width_[a];
+  }
+
+  // Copies histogram k into `out` (allocated), feature by feature.
+  void CopyTo(const TreeContext& ctx, size_t k, NodeHist* out) {
+    for (size_t a = 0; a < ctx.active.size(); ++a) {
+      const double* g = At(a, k);
+      const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
+      const size_t base = ctx.offset[a];
+      std::copy_n(g, slots, out->g.begin() + base);
+      std::copy_n(g + width_[a], slots, out->h.begin() + base);
+      std::copy_n(g + 2 * width_[a], slots, out->cnt.begin() + base);
+    }
+  }
+
+ private:
+  std::vector<size_t> width_, block_;
+  std::vector<double> storage_;
+  size_t first_ = 0;  // Index of the first aligned double in storage_.
+};
+
 // Accumulates the histogram of `rows`. Each active feature sums its own
 // slot range in row order, so an executor changes nothing but speed.
-// Threaded, each feature task accumulates into its own cache-line-aligned
-// block of a scratch buffer (features with a handful of bins would
-// otherwise false-share lines of the node's arrays once per row); the
-// blocks are copied into `out` after the batch.
+// Threaded, each feature task accumulates into its own HistScratch
+// block, copied into `out` after the batch.
 Status BuildHist(const TreeContext& ctx, const std::vector<size_t>& rows,
                  NodeHist* out) {
   out->Allocate(ctx.total_slots);
@@ -126,37 +179,14 @@ Status BuildHist(const TreeContext& ctx, const std::vector<size_t>& rows,
     return Status::Ok();
   }
 
-  // Feature a's block holds its g, h and cnt runs, each `width[a]` doubles
-  // (its slot count rounded up to whole lines), from `block[a]` on.
-  const size_t features = ctx.active.size();
-  std::vector<size_t> width(features), block(features);
-  size_t scratch_doubles = 0;
-  for (size_t a = 0; a < features; ++a) {
-    const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
-    width[a] = (slots + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-    block[a] = scratch_doubles;
-    scratch_doubles += 3 * width[a];
-  }
-  std::vector<double> storage(scratch_doubles + kLineDoubles - 1, 0.0);
-  void* aligned = storage.data();
-  size_t space = storage.size() * sizeof(double);
-  std::align(kLineBytes, scratch_doubles * sizeof(double), aligned, space);
-  double* scratch = static_cast<double*>(aligned);
-
-  ROADMINE_RETURN_IF_ERROR(
-      exec::ParallelFor(executor, features, [&](size_t a) -> Status {
-        double* g = scratch + block[a];
-        accumulate(a, g, g + width[a], g + 2 * width[a]);
+  HistScratch scratch(ctx, 1);
+  ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
+      executor, ctx.active.size(), [&](size_t a) -> Status {
+        double* g = scratch.At(a, 0);
+        accumulate(a, g, g + scratch.width(a), g + 2 * scratch.width(a));
         return Status::Ok();
       }));
-  for (size_t a = 0; a < features; ++a) {
-    const double* g = scratch + block[a];
-    const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
-    const size_t base = ctx.offset[a];
-    std::copy_n(g, slots, out->g.begin() + base);
-    std::copy_n(g + width[a], slots, out->h.begin() + base);
-    std::copy_n(g + 2 * width[a], slots, out->cnt.begin() + base);
-  }
+  scratch.CopyTo(ctx, 0, out);
   return Status::Ok();
 }
 
@@ -207,6 +237,8 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
         best.gain = gain;
         best.feature = f;
         best.missing_goes_left = dir == 0;
+        best.left_count = cl;
+        best.right_count = cr;
         record();
       }
     }
@@ -310,6 +342,8 @@ void BinPage(const HistogramIndex::FeatureBins& bins, const data::Column& col,
 // identical — only the pass count differs.
 class PagedCodes {
  public:
+  using Page = std::vector<const uint16_t*>;
+
   PagedCodes(data::RowSource& source, const std::vector<FeatureRef>& features,
              const std::vector<HistogramIndex::FeatureBins>& bins,
              size_t total_rows, size_t cache_budget_bytes)
@@ -326,20 +360,18 @@ class PagedCodes {
 
   // Calls fn(first_row, row_count, codes) over consecutive blocks covering
   // rows [0, total_rows); codes[f] holds row_count codes of feature f.
-  Status Sweep(const std::function<void(size_t, size_t,
-                                        const std::vector<const uint16_t*>&)>&
-                   fn) {
+  // Stops at fn's first error.
+  Status Sweep(const std::function<Status(size_t, size_t, const Page&)>& fn) {
     if (cached_) {
       ROADMINE_RETURN_IF_ERROR(EnsureCache());
-      std::vector<const uint16_t*> ptrs(features_.size());
+      Page ptrs(features_.size());
       for (size_t f = 0; f < features_.size(); ++f) {
         ptrs[f] = cache_[f].data();
       }
-      fn(0, total_rows_, ptrs);
-      return Status::Ok();
+      return fn(0, total_rows_, ptrs);
     }
     std::vector<std::vector<uint16_t>> scratch(features_.size());
-    std::vector<const uint16_t*> ptrs(features_.size());
+    Page ptrs(features_.size());
     return Stream([&](size_t base, const data::Dataset& chunk) {
       const size_t rows = chunk.num_rows();
       for (size_t f = 0; f < features_.size(); ++f) {
@@ -348,7 +380,7 @@ class PagedCodes {
                 scratch[f].data());
         ptrs[f] = scratch[f].data();
       }
-      fn(base, rows, ptrs);
+      return fn(base, rows, ptrs);
     });
   }
 
@@ -362,6 +394,7 @@ class PagedCodes {
         BinPage(bins_[f], chunk.column(features_[f].column_index),
                 chunk.num_rows(), cache_[f].data() + base);
       }
+      return Status::Ok();
     });
   }
 
@@ -374,7 +407,7 @@ class PagedCodes {
       if (!chunk_result.ok()) return chunk_result.status();
       const data::Dataset* chunk = *chunk_result;
       if (chunk == nullptr) break;
-      fn(base, *chunk);
+      ROADMINE_RETURN_IF_ERROR(fn(base, *chunk));
       base += chunk->num_rows();
     }
     if (base != total_rows_) {
@@ -390,6 +423,42 @@ class PagedCodes {
   bool cached_ = false;
   std::vector<std::vector<uint16_t>> cache_;  // [feature][row], if cached.
 };
+
+// One row of a paged histogram build: the row, and which of the
+// histograms being built it adds to.
+struct HistRow {
+  uint32_t row;
+  uint32_t hist;
+};
+
+// Adds `rows` (ascending, all inside the code block `page` that starts
+// at row `base`) to their histograms in `scratch`, one task per active
+// feature. Every slot takes its rows in row order, within this block and
+// across consecutive blocks, so the sums equal BuildHist's at any thread
+// count and page size.
+Status AccumulateRows(const TreeContext& ctx, const HistRow* first,
+                      const HistRow* last, size_t base,
+                      const PagedCodes::Page& page, HistScratch* scratch) {
+  exec::Executor* executor =
+      static_cast<size_t>(last - first) >= kParallelMinRows
+          ? ctx.params->executor
+          : nullptr;
+  return exec::ParallelFor(executor, ctx.active.size(), [&](size_t a) {
+    const size_t f = ctx.active[a];
+    const uint16_t* codes = page[f];
+    const size_t missing = ctx.feature_bins[f]->num_bins;
+    const size_t width = scratch->width(a);
+    for (const HistRow* e = first; e != last; ++e) {
+      const uint16_t code = codes[e->row - base];
+      const size_t slot = code == HistogramIndex::kMissingBin ? missing : code;
+      double* g = scratch->At(a, e->hist);
+      g[slot] += (*ctx.grad)[e->row];
+      g[width + slot] += (*ctx.hess)[e->row];
+      g[2 * width + slot] += 1.0;
+    }
+    return Status::Ok();
+  });
+}
 
 }  // namespace
 
@@ -640,14 +709,19 @@ Status GradientBoostedTrees::FitPaged(
   }
 
   // --- Pass A: labels, numeric quantile sketches, categorical level
-  // presence — one stream pass, all in row order.
+  // presence — one stream pass, all in row order. Serial on purpose: it
+  // sets the paged path's memory peak, and sketch merges or page decodes
+  // on worker threads leave allocator arenas holding more.
+  // sketch_of[f]: feature f's sketch (numeric features only).
   std::vector<QuantileSketch> sketches;
-  sketches.reserve(num_features);
+  std::vector<size_t> sketch_of(num_features, 0);
   std::vector<std::vector<uint8_t>> seen_levels(num_features);
   for (size_t f = 0; f < num_features; ++f) {
-    sketches.emplace_back(0);
     const FeatureRef& ref = (*features)[f];
-    if (ref.type == data::ColumnType::kCategorical) {
+    if (ref.type == data::ColumnType::kNumeric) {
+      sketch_of[f] = sketches.size();
+      sketches.emplace_back(0);
+    } else {
       seen_levels[f].assign(schema.columns[ref.column_index].categories.size(),
                             0);
     }
@@ -676,8 +750,9 @@ Status GradientBoostedTrees::FitPaged(
       const FeatureRef& ref = (*features)[f];
       const data::Column& col = chunk->column(ref.column_index);
       if (ref.type == data::ColumnType::kNumeric) {
+        QuantileSketch& sketch = sketches[sketch_of[f]];
         for (const double v : col.numeric_values()) {
-          if (!std::isnan(v)) sketches[f].Add(v);
+          if (!std::isnan(v)) sketch.Add(v);
         }
       } else {
         for (const int32_t code : col.codes()) {
@@ -702,7 +777,7 @@ Status GradientBoostedTrees::FitPaged(
     HistogramIndex::FeatureBins& out = bins[f];
     if (ref.type == data::ColumnType::kNumeric) {
       out.is_numeric = true;
-      out.upper = sketches[f].Cuts(params_.max_bins);
+      out.upper = sketches[sketch_of[f]].Cuts(params_.max_bins);
       out.num_bins = out.upper.size();
       out.constant = out.upper.size() < 2;
     } else {
@@ -725,13 +800,10 @@ Status GradientBoostedTrees::FitPaged(
   base_score_ = std::log(prior / (1.0 - prior));
 
   std::vector<double> margin(total_rows, 0.0);
-  // p, g, h recomputed per sweep from margin + label: same expression,
-  // same doubles as the in-RAM fit's precomputed arrays.
-  auto grad_hess = [&](size_t r, double* g, double* h) {
-    const double p = Sigmoid(base_score_ + margin[r]);
-    *g = p - static_cast<double>(labels[r]);
-    *h = p * (1.0 - p);
-  };
+  // g/h of each live row, computed once per tree from margin + label:
+  // the same expression, so the same doubles, as Fit's arrays.
+  std::vector<double> grad(total_rows, 0.0);
+  std::vector<double> hess(total_rows, 0.0);
 
   PagedCodes codes(source, features_, bins, total_rows,
                    options.code_cache_bytes);
@@ -739,6 +811,8 @@ Status GradientBoostedTrees::FitPaged(
   TreeContext ctx;
   ctx.features = &features_;
   ctx.params = &params_;
+  ctx.grad = &grad;
+  ctx.hess = &hess;
   ctx.feature_bins.reserve(num_features);
   for (size_t f = 0; f < num_features; ++f) {
     ctx.feature_bins.push_back(&bins[f]);
@@ -747,10 +821,23 @@ Status GradientBoostedTrees::FitPaged(
   std::vector<size_t> all_features(num_features);
   for (size_t f = 0; f < num_features; ++f) all_features[f] = f;
 
+  // Row-parallel passes: every row's output goes to its own slot, so any
+  // chunking gives the same arrays. Ranges too small to pay for a batch
+  // stay on the calling thread.
+  exec::Executor* const executor = params_.executor;
+  auto for_rows = [executor](size_t n, const exec::RangeTask& fn) {
+    return exec::ParallelForRanges(n >= kParallelMinRows ? executor : nullptr,
+                                   n, fn);
+  };
+
   // assign[r]: the tree node currently owning row r (kRetired once the
   // row reaches a leaf or was not sampled this round).
   std::vector<uint32_t> assign(total_rows, kRetired);
-  std::vector<uint8_t> sampled;
+  // route[r], while a level splits: the index in the next level of the
+  // child row r goes to, or kRetired when its node stays a leaf.
+  std::vector<uint32_t> route(total_rows, kRetired);
+  // Rows of the histograms being built, ascending.
+  std::vector<HistRow> hist_rows;
 
   // Routes a row through the split of `cand` using its bin code: for
   // numeric cuts `code <= threshold_bin` iff `value <= upper[bin]`, so
@@ -764,19 +851,40 @@ Status GradientBoostedTrees::FitPaged(
            cand.left_categories[code] != 0;
   };
 
+  // Builds hists[k] from the hist_rows tagged k in one sweep: per page,
+  // one task per active feature, each into its own scratch block.
+  auto build_hists = [&](const std::vector<NodeHist*>& hists) -> Status {
+    for (NodeHist* hist : hists) hist->Allocate(ctx.total_slots);
+    HistScratch scratch(ctx, hists.size());
+    ROADMINE_RETURN_IF_ERROR(codes.Sweep(
+        [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+          const HistRow* begin = hist_rows.data();
+          const HistRow* end = begin + hist_rows.size();
+          const HistRow* first = std::partition_point(
+              begin, end, [&](const HistRow& e) { return e.row < base; });
+          const HistRow* last =
+              std::partition_point(first, end, [&](const HistRow& e) {
+                return e.row < base + rows;
+              });
+          return AccumulateRows(ctx, first, last, base, page, &scratch);
+        }));
+    for (size_t k = 0; k < hists.size(); ++k) {
+      scratch.CopyTo(ctx, k, hists[k]);
+    }
+    return Status::Ok();
+  };
+
   for (size_t t = 0; t < params_.num_trees; ++t) {
     util::Rng row_rng(util::Rng::SplitSeed(params_.seed, 2 * t));
     util::Rng col_rng(util::Rng::SplitSeed(params_.seed, 2 * t + 1));
 
-    size_t sample_count = total_rows;
-    if (params_.subsample < 1.0) {
-      sampled.assign(total_rows, 0);
-      sample_count = 0;
+    const bool subsampling = params_.subsample < 1.0;
+    if (subsampling) {
+      size_t sample_count = 0;
       for (size_t r = 0; r < total_rows; ++r) {
-        if (row_rng.Bernoulli(params_.subsample)) {
-          sampled[r] = 1;
-          ++sample_count;
-        }
+        const bool drawn = row_rng.Bernoulli(params_.subsample);
+        assign[r] = drawn ? 0 : kRetired;
+        sample_count += drawn ? 1 : 0;
       }
       if (sample_count == 0) continue;  // Nothing drawn: no tree this round.
     }
@@ -819,58 +927,50 @@ Status GradientBoostedTrees::FitPaged(
       NodeHist hist;
     };
 
-    const bool subsampling = params_.subsample < 1.0;
-    for (size_t r = 0; r < total_rows; ++r) {
-      assign[r] = (!subsampling || sampled[r]) ? 0 : kRetired;
-    }
-
-    // Root sweep: node sums and the root histogram, both in row order
-    // (separate accumulators, so fusing the passes changes nothing).
-    LiveNode root;
-    root.hist.Allocate(ctx.total_slots);
-    ROADMINE_RETURN_IF_ERROR(codes.Sweep([&](size_t base, size_t rows,
-                                             const std::vector<const uint16_t*>&
-                                                 page) {
-      for (size_t i = 0; i < rows; ++i) {
-        const size_t r = base + i;
+    ROADMINE_RETURN_IF_ERROR(for_rows(total_rows, [&](size_t begin,
+                                                      size_t end) {
+      for (size_t r = begin; r < end; ++r) {
+        if (!subsampling) assign[r] = 0;
         if (assign[r] == kRetired) continue;
-        double g = 0.0, h = 0.0;
-        grad_hess(r, &g, &h);
-        root.g += g;
-        root.h += h;
-        ++root.cnt;
-        for (size_t a = 0; a < ctx.active.size(); ++a) {
-          const size_t f = ctx.active[a];
-          const uint16_t code = page[f][i];
-          const size_t slot = code == HistogramIndex::kMissingBin
-                                  ? ctx.offset[a] + ctx.feature_bins[f]->num_bins
-                                  : ctx.offset[a] + code;
-          root.hist.g[slot] += g;
-          root.hist.h[slot] += h;
-          root.hist.cnt[slot] += 1.0;
-        }
+        const double p = Sigmoid(base_score_ + margin[r]);
+        grad[r] = p - static_cast<double>(labels[r]);
+        hess[r] = p * (1.0 - p);
       }
+      return Status::Ok();
     }));
+
+    // Root sums in row order, like Fit's make_node; its histogram from
+    // every live row.
+    LiveNode root;
+    hist_rows.clear();
+    for (size_t r = 0; r < total_rows; ++r) {
+      if (assign[r] == kRetired) continue;
+      root.g += grad[r];
+      root.h += hess[r];
+      ++root.cnt;
+      hist_rows.push_back({static_cast<uint32_t>(r), 0});
+    }
     root.node = add_node(root.g, root.h);
+    ROADMINE_RETURN_IF_ERROR(build_hists({&root.hist}));
 
     std::vector<LiveNode> level;
     level.push_back(std::move(root));
 
     while (!level.empty()) {
       // Decide each level node in id order — the same order Fit's FIFO
-      // queue processes them, so child ids come out identical.
+      // queue processes them, so child ids come out identical. A split's
+      // children take places next_index and next_index + 1 of the next
+      // level. The scan never yields an empty side, so unlike Fit no
+      // split falls back to a leaf.
       struct Decision {
         bool split = false;
         SplitCand cand;
-        int left = -1, right = -1;
-        bool build_left = true;
-        size_t next_index = 0;  // Index of the left child in `next`.
-        double lg = 0.0, lh = 0.0, rg = 0.0, rh = 0.0;
-        size_t lc = 0, rc = 0;
+        size_t next_index = 0;
+        bool build_left = true;  // The smaller child, as in Fit.
       };
       std::vector<Decision> decisions(level.size());
       std::vector<int32_t> node_to_level(tree.size(), -1);
-      bool any_split = false;
+      size_t splits = 0;
       for (size_t i = 0; i < level.size(); ++i) {
         node_to_level[static_cast<size_t>(level[i].node)] =
             static_cast<int32_t>(i);
@@ -879,124 +979,109 @@ Status GradientBoostedTrees::FitPaged(
         SplitCand cand = FindBestSplit(ctx, live.hist, live.g, live.h,
                                        static_cast<double>(live.cnt));
         if (!cand.valid) continue;
-        decisions[i].split = true;
-        decisions[i].cand = std::move(cand);
-        any_split = true;
+        Decision& decision = decisions[i];
+        decision.split = true;
+        decision.next_index = 2 * splits++;
+        decision.build_left = cand.left_count <= cand.right_count;
+        decision.cand = std::move(cand);
       }
-      if (!any_split) break;
+      if (splits == 0) break;
 
-      // Count sweep: per splitting node, each side's row count and g/h
-      // sums — every accumulator advances in ascending row order, exactly
-      // like Fit's per-child make_node loops.
+      // Route: each live row's child, row-parallel.
       ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-          [&](size_t base, size_t rows,
-              const std::vector<const uint16_t*>& page) {
-            for (size_t i = 0; i < rows; ++i) {
-              const size_t r = base + i;
-              const uint32_t id = assign[r];
-              if (id == kRetired) continue;
-              const int32_t li = node_to_level[id];
-              if (li < 0 || !decisions[static_cast<size_t>(li)].split) {
-                continue;
+          [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+            return for_rows(rows, [&](size_t begin, size_t end) {
+              for (size_t i = begin; i < end; ++i) {
+                const size_t r = base + i;
+                const uint32_t id = assign[r];
+                uint32_t child = kRetired;
+                if (id != kRetired) {
+                  // Every live row belongs to a node of this level.
+                  const Decision& decision =
+                      decisions[static_cast<size_t>(node_to_level[id])];
+                  if (decision.split) {
+                    const SplitCand& cand = decision.cand;
+                    child = static_cast<uint32_t>(
+                        decision.next_index +
+                        (code_goes_left(cand, page[cand.feature][i]) ? 0 : 1));
+                  }
+                }
+                route[r] = child;
               }
-              Decision& decision = decisions[static_cast<size_t>(li)];
-              double g = 0.0, h = 0.0;
-              grad_hess(r, &g, &h);
-              if (code_goes_left(decision.cand,
-                                 page[decision.cand.feature][i])) {
-                decision.lg += g;
-                decision.lh += h;
-                ++decision.lc;
-              } else {
-                decision.rg += g;
-                decision.rh += h;
-                ++decision.rc;
-              }
-            }
+              return Status::Ok();
+            });
           }));
 
-      // Create children in id order; a split with an empty side stays a
-      // leaf, exactly like Fit's degenerate-partition bailout.
-      std::vector<LiveNode> next;
+      // Children's G/H in one serial pass in row order — bit for bit
+      // Fit's make_node sums — which also lists the rows of the children
+      // whose histograms are built (hist_of, else kRetired).
+      std::vector<double> child_g(2 * splits, 0.0), child_h(2 * splits, 0.0);
+      std::vector<uint32_t> hist_of(2 * splits, kRetired);
+      for (const Decision& decision : decisions) {
+        if (!decision.split) continue;
+        hist_of[decision.next_index + (decision.build_left ? 0 : 1)] =
+            static_cast<uint32_t>(decision.next_index / 2);
+      }
+      hist_rows.clear();
+      for (size_t r = 0; r < total_rows; ++r) {
+        const uint32_t child = route[r];
+        if (child == kRetired) continue;
+        child_g[child] += grad[r];
+        child_h[child] += hess[r];
+        if (hist_of[child] != kRetired) {
+          hist_rows.push_back({static_cast<uint32_t>(r), hist_of[child]});
+        }
+      }
+
+      // Create children in id order.
+      std::vector<LiveNode> next(2 * splits);
+      std::vector<NodeHist*> built(splits);
       for (size_t i = 0; i < level.size(); ++i) {
         Decision& decision = decisions[i];
         if (!decision.split) continue;
-        if (decision.lc == 0 || decision.rc == 0) {
-          decision.split = false;
-          continue;
-        }
-        decision.next_index = next.size();
-        decision.left = add_node(decision.lg, decision.lh);
-        decision.right = add_node(decision.rg, decision.rh);
+        const size_t l = decision.next_index;
+        LiveNode& left = next[l];
+        LiveNode& right = next[l + 1];
+        left.node = add_node(child_g[l], child_h[l]);
+        right.node = add_node(child_g[l + 1], child_h[l + 1]);
+        left.depth = right.depth = level[i].depth + 1;
+        left.g = child_g[l];
+        left.h = child_h[l];
+        left.cnt = static_cast<size_t>(decision.cand.left_count);
+        right.g = child_g[l + 1];
+        right.h = child_h[l + 1];
+        right.cnt = static_cast<size_t>(decision.cand.right_count);
+        built[l / 2] = &(decision.build_left ? left : right).hist;
+
         Node& parent = tree[static_cast<size_t>(level[i].node)];
         parent.feature = static_cast<int>(decision.cand.feature);
         parent.threshold = decision.cand.threshold;
         parent.left_categories = decision.cand.left_categories;
         parent.missing_goes_left = decision.cand.missing_goes_left;
-        parent.left = decision.left;
-        parent.right = decision.right;
+        parent.left = left.node;
+        parent.right = right.node;
         if (bins[decision.cand.feature].is_numeric) {
           split_bin[static_cast<size_t>(level[i].node)] =
               static_cast<int64_t>(decision.cand.threshold_bin);
         }
-        decision.build_left = decision.lc <= decision.rc;
-
-        LiveNode left, right;
-        left.node = decision.left;
-        right.node = decision.right;
-        left.depth = right.depth = level[i].depth + 1;
-        left.g = decision.lg;
-        left.h = decision.lh;
-        left.cnt = decision.lc;
-        right.g = decision.rg;
-        right.h = decision.rh;
-        right.cnt = decision.rc;
-        (decision.build_left ? left : right).hist.Allocate(ctx.total_slots);
-        next.push_back(std::move(left));
-        next.push_back(std::move(right));
       }
 
-      // Hist/assign sweep: re-route rows to their children, retiring leaf
-      // rows, and accumulate only the smaller child's histogram (in row
-      // order per slot, matching BuildHist).
-      ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-          [&](size_t base, size_t rows,
-              const std::vector<const uint16_t*>& page) {
-            for (size_t i = 0; i < rows; ++i) {
-              const size_t r = base + i;
-              const uint32_t id = assign[r];
-              if (id == kRetired) continue;
-              const int32_t li = node_to_level[id];
-              if (li < 0 || !decisions[static_cast<size_t>(li)].split) {
-                assign[r] = kRetired;
-                continue;
-              }
-              const Decision& decision = decisions[static_cast<size_t>(li)];
-              const bool left = code_goes_left(
-                  decision.cand, page[decision.cand.feature][i]);
-              assign[r] =
-                  static_cast<uint32_t>(left ? decision.left : decision.right);
-              if (left != decision.build_left) continue;
-              NodeHist& hist =
-                  next[decision.next_index + (decision.build_left ? 0 : 1)]
-                      .hist;
-              double g = 0.0, h = 0.0;
-              grad_hess(r, &g, &h);
-              for (size_t a = 0; a < ctx.active.size(); ++a) {
-                const size_t f = ctx.active[a];
-                const uint16_t code = page[f][i];
-                const size_t slot =
-                    code == HistogramIndex::kMissingBin
-                        ? ctx.offset[a] + ctx.feature_bins[f]->num_bins
-                        : ctx.offset[a] + code;
-                hist.g[slot] += g;
-                hist.h[slot] += h;
-                hist.cnt[slot] += 1.0;
-              }
+      // Rows move to their child's node id, row-parallel; rows of nodes
+      // that stay leaves retire.
+      ROADMINE_RETURN_IF_ERROR(
+          for_rows(total_rows, [&](size_t begin, size_t end) {
+            for (size_t r = begin; r < end; ++r) {
+              const uint32_t child = route[r];
+              assign[r] = child == kRetired
+                              ? kRetired
+                              : static_cast<uint32_t>(next[child].node);
             }
+            return Status::Ok();
           }));
 
-      // Sibling subtraction for the larger children.
+      // The smaller children's histograms from their rows; the larger
+      // ones by sibling subtraction.
+      ROADMINE_RETURN_IF_ERROR(build_hists(built));
       for (size_t i = 0; i < level.size(); ++i) {
         const Decision& decision = decisions[i];
         if (!decision.split) continue;
@@ -1013,32 +1098,36 @@ Status GradientBoostedTrees::FitPaged(
 
     // Margin sweep: every row (sampled or not) moves by its leaf weight,
     // routed by codes — identical to Fit's raw-value TreeWeight walk.
-    ROADMINE_RETURN_IF_ERROR(codes.Sweep([&](size_t base, size_t rows,
-                                             const std::vector<const uint16_t*>&
-                                                 page) {
-      for (size_t i = 0; i < rows; ++i) {
-        size_t id = 0;
-        for (;;) {
-          const Node& node = tree[id];
-          if (node.feature < 0) {
-            margin[base + i] += node.leaf_value;
-            break;
-          }
-          const uint16_t code = page[static_cast<size_t>(node.feature)][i];
-          bool go_left;
-          if (code == HistogramIndex::kMissingBin) {
-            go_left = node.missing_goes_left;
-          } else if (bins[static_cast<size_t>(node.feature)].is_numeric) {
-            go_left = static_cast<int64_t>(code) <= split_bin[id];
-          } else {
-            go_left = static_cast<size_t>(code) <
-                          node.left_categories.size() &&
-                      node.left_categories[code] != 0;
-          }
-          id = static_cast<size_t>(go_left ? node.left : node.right);
-        }
-      }
-    }));
+    ROADMINE_RETURN_IF_ERROR(codes.Sweep(
+        [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+          return for_rows(rows, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+              size_t id = 0;
+              for (;;) {
+                const Node& node = tree[id];
+                if (node.feature < 0) {
+                  margin[base + i] += node.leaf_value;
+                  break;
+                }
+                const uint16_t code =
+                    page[static_cast<size_t>(node.feature)][i];
+                bool go_left;
+                if (code == HistogramIndex::kMissingBin) {
+                  go_left = node.missing_goes_left;
+                } else if (bins[static_cast<size_t>(node.feature)]
+                               .is_numeric) {
+                  go_left = static_cast<int64_t>(code) <= split_bin[id];
+                } else {
+                  go_left = static_cast<size_t>(code) <
+                                node.left_categories.size() &&
+                            node.left_categories[code] != 0;
+                }
+                id = static_cast<size_t>(go_left ? node.left : node.right);
+              }
+            }
+            return Status::Ok();
+          });
+        }));
 
     trees_.push_back(std::move(tree));
   }
@@ -1200,8 +1289,9 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
     auto node_count = ParseCountLine(cursor, "tree");
     if (!node_count.ok()) return node_count.status();
     if (*node_count <= 0) return InvalidArgumentError("empty tree block");
+    // No reserve: the count is untrusted text, so the tree grows only as
+    // node lines are actually read.
     std::vector<Node> tree;
-    tree.reserve(static_cast<size_t>(*node_count));
     for (int64_t i = 0; i < *node_count; ++i) {
       const std::string* line = cursor.Next();
       if (line == nullptr) return InvalidArgumentError("truncated tree");
@@ -1230,19 +1320,12 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
         return InvalidArgumentError("bad missing direction");
       }
       node.missing_goes_left = value != 0;
-      if (!util::ParseInt(parts[5], &value)) {
-        return InvalidArgumentError("bad left child");
-      }
-      node.left = static_cast<int>(value);
-      if (!util::ParseInt(parts[6], &value)) {
-        return InvalidArgumentError("bad right child");
-      }
-      node.right = static_cast<int>(value);
-      if (!is_leaf &&
-          (node.left < 0 || node.left >= *node_count || node.right < 0 ||
-           node.right >= *node_count)) {
-        return InvalidArgumentError("child index out of range");
-      }
+      auto left = ParseChildIndex(parts[5], i, *node_count, is_leaf);
+      if (!left.ok()) return left.status();
+      node.left = *left;
+      auto right = ParseChildIndex(parts[6], i, *node_count, is_leaf);
+      if (!right.ok()) return right.status();
+      node.right = *right;
       if (!util::ParseDouble(parts[7], &node.leaf_value)) {
         return InvalidArgumentError("bad leaf value");
       }

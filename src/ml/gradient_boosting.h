@@ -66,15 +66,19 @@ struct GradientBoostedTreesParams {
   // Optional pre-built binning shared across fits (CV folds, studies).
   // Not owned; must cover the fit's features over the same dataset.
   const HistogramIndex* histogram_index = nullptr;
-  // Optional parallelism for Fit's binning and its histogram builds at
-  // nodes with >= 4096 rows (not owned, may be null = serial); FitPaged
-  // sweeps serially. Bit-identical either way.
+  // Optional parallelism (not owned, may be null = serial). Fit bins and
+  // builds histograms at nodes with >= 4096 rows on it; FitPaged also
+  // computes g/h, routes rows and updates margins on it, row-parallel
+  // over ranges of >= 4096 rows, and builds histograms one feature per
+  // task. Bit-identical either way.
   exec::Executor* executor = nullptr;
 };
 
-// Knobs for FitPaged (see below). The only RAM the paged fit keeps per
-// row is the margin (8 B), label (1 B), node assignment (4 B) and sample
-// flag (1 B); bin codes are the one optional cache.
+// Knobs for FitPaged (see below). The RAM the paged fit keeps per row is
+// the margin (8 B), label (1 B), the tree's g and h (16 B), node id (4 B)
+// and the level's route (4 B), plus up to 8 B in the list of rows whose
+// histograms a level builds: 33-41 B. Bin codes are the one optional
+// cache.
 struct PagedFitOptions {
   // Budget for the bin-code cache. When the full code matrix
   // (features x rows x 2 bytes) fits, the source is binned once and every
@@ -102,8 +106,10 @@ class GradientBoostedTrees : public Predictor {
   // reproducible but no longer pinned to the in-RAM one. Trees grow level
   // by level from per-page gradient/hessian histograms merged across
   // pages in row order, with the same sibling subtraction, sampling
-  // streams and split scan as Fit. params_.histogram_index is ignored
-  // (the binning is derived from the stream itself).
+  // streams and split scan as Fit. The tree loop runs on
+  // params_.executor; the sketch pass and the code-cache fill stay
+  // serial. params_.histogram_index is ignored (the binning is derived
+  // from the stream itself).
   [[nodiscard]] util::Status FitPaged(
       data::RowSource& source, const std::string& target_column,
       const std::vector<std::string>& feature_columns,

@@ -238,8 +238,9 @@ util::Result<M5Tree> M5Tree::Deserialize(const std::string& text,
     size_t id;
     LeafModel model;
   };
+  // No reserve: the count is untrusted text, so the list grows only as
+  // leaf lines are actually read.
   std::vector<PendingModel> pending;
-  pending.reserve(static_cast<size_t>(*model_count));
   const size_t d = tree.numeric_features_.size();
   for (int64_t i = 0; i < *model_count; ++i) {
     const std::string* line = cursor.Next();

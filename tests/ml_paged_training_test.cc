@@ -1,9 +1,13 @@
 // Paged GBT training: FitPaged over a chunked RowSource must reproduce
 // Fit over the materialized rows bit for bit (exact-sketch regime), at
-// any thread count, with or without the bin-code cache, and under row /
-// column sampling. Plus the QuantileSketch regimes underneath it.
+// any thread count and chunk grain, with or without the bin-code cache,
+// and under row / column sampling. Plus the QuantileSketch regimes
+// underneath it.
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,7 +100,7 @@ TEST(GbtFitPagedTest, MatchesFitFromOnDiskPagesAtAnyThreadCount) {
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ThreadPool pool(threads);
     GradientBoostedTreesParams params = SmallParams();
-    params.executor = &pool;  // Scans stay serial; pages prefetch on the pool.
+    params.executor = &pool;  // 500 rows: passes stay serial, pages prefetch.
     data::PagedDataset::PageStream stream = paged->Pages(&pool);
     EXPECT_EQ(FitFromSource(stream, params), in_ram)
         << threads << " threads";
@@ -152,6 +156,131 @@ TEST(GbtFitPagedTest, ErrorsOnMissingColumns) {
           .ok());
 }
 
+// --- At scale: the threaded paths ----------------------------------------
+//
+// The tests above train on 500 rows, below the 4096-row size at which
+// FitPaged's passes go to the pool. This table is large enough that the
+// g/h pass, routing, child reassignment, histogram builds and the margin
+// sweep all run as pool batches, cached and streaming: 4099-row pages
+// (odd, so page ends fall mid-chunk) still carry 4096+ rows into the
+// root's histogram build.
+
+constexpr size_t kScaleRows = 12000;
+constexpr size_t kScalePageRows = 4099;
+
+GradientBoostedTreesParams ScaleParams(exec::Executor* executor) {
+  GradientBoostedTreesParams params;
+  params.num_trees = 6;
+  params.max_depth = 4;
+  params.max_bins = 64;
+  params.seed = 61;
+  params.executor = executor;
+  return params;
+}
+
+// Builds the scale table once per test process and writes it as on-disk
+// pages of kScalePageRows rows, into a directory of the process's own
+// (ctest runs every test case as a process of its own).
+class GbtFitPagedScaleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    roadgen::GeneratorConfig config;
+    config.num_segments = kScaleRows;
+    config.seed = 4111;
+    auto segments = roadgen::RoadNetworkGenerator(config).Generate();
+    ASSERT_TRUE(segments.ok());
+    auto ds = roadgen::BuildSegmentDataset(*segments);
+    ASSERT_TRUE(ds.ok());
+    ASSERT_TRUE(core::AddCrashProneTarget(
+                    *ds, roadgen::kSegmentCrashCountColumn, /*threshold=*/4)
+                    .ok());
+    table_.emplace(*std::move(ds));
+
+    dir_ = ::testing::TempDir() + "/gbt_paged_fit_scale_" +
+           std::to_string(getpid());
+    std::filesystem::remove_all(dir_);
+    auto writer = data::PagedDatasetWriter::Create(
+        dir_, data::TableSchema::FromDataset(*table_),
+        {.page_rows = kScalePageRows});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append(*table_).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+    auto paged = data::PagedDataset::Open(dir_);
+    ASSERT_TRUE(paged.ok());
+    pages_.emplace(*std::move(paged));
+  }
+
+  static void TearDownTestSuite() {
+    pages_.reset();
+    table_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  static std::string FitTable(const GradientBoostedTreesParams& params) {
+    return FitInRam(*table_, params);
+  }
+
+  // FitPaged over the pages, bin codes cached or (1-byte budget)
+  // re-streamed and re-binned on every sweep.
+  static std::string FitPages(const GradientBoostedTreesParams& params,
+                              bool cached) {
+    data::PagedDataset::PageStream stream = pages_->Pages(params.executor);
+    return FitFromSource(stream, params,
+                         {.code_cache_bytes = cached ? (256ull << 20) : 1});
+  }
+
+ private:
+  static inline std::optional<data::Dataset> table_;
+  static inline std::string dir_;
+  static inline std::optional<data::PagedDataset> pages_;
+};
+
+TEST_F(GbtFitPagedScaleTest, PoolsMatchSerialAndFitCachedAndStreaming) {
+  const std::string in_ram = FitTable(ScaleParams(nullptr));
+  EXPECT_EQ(FitPages(ScaleParams(nullptr), /*cached=*/true), in_ram)
+      << "serial, cached";
+  EXPECT_EQ(FitPages(ScaleParams(nullptr), /*cached=*/false), in_ram)
+      << "serial, streaming";
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    exec::ThreadPool pool(threads);
+    EXPECT_EQ(FitTable(ScaleParams(&pool)), in_ram)
+        << "Fit, " << threads << " threads";
+    EXPECT_EQ(FitPages(ScaleParams(&pool), /*cached=*/true), in_ram)
+        << threads << " threads, cached";
+    EXPECT_EQ(FitPages(ScaleParams(&pool), /*cached=*/false), in_ram)
+        << threads << " threads, streaming";
+  }
+}
+
+TEST_F(GbtFitPagedScaleTest, PoolsMatchFitUnderSubsampleAndColsample) {
+  GradientBoostedTreesParams serial = ScaleParams(nullptr);
+  serial.subsample = 0.7;
+  serial.colsample = 0.6;
+  const std::string in_ram = FitTable(serial);
+  EXPECT_EQ(FitPages(serial, /*cached=*/true), in_ram) << "serial";
+  exec::ThreadPool pool(4);
+  GradientBoostedTreesParams threaded = serial;
+  threaded.executor = &pool;
+  EXPECT_EQ(FitPages(threaded, /*cached=*/true), in_ram) << "cached";
+  EXPECT_EQ(FitPages(threaded, /*cached=*/false), in_ram) << "streaming";
+}
+
+TEST_F(GbtFitPagedScaleTest, AnyChunkGrainGivesTheSameModel) {
+  GradientBoostedTreesParams serial = ScaleParams(nullptr);
+  serial.num_trees = 2;  // Grain 1 makes every row its own pool chunk.
+  const std::string in_ram = FitTable(serial);
+  exec::ThreadPool pool(4);
+  GradientBoostedTreesParams threaded = serial;
+  threaded.executor = &pool;
+  for (const size_t grain : {size_t{1}, size_t{7}, kScaleRows}) {
+    exec::ScopedGrainForTesting scoped_grain(grain);
+    EXPECT_EQ(FitPages(threaded, /*cached=*/true), in_ram)
+        << "grain " << grain << ", cached";
+    EXPECT_EQ(FitPages(threaded, /*cached=*/false), in_ram)
+        << "grain " << grain << ", streaming";
+  }
+}
+
 // --- QuantileSketch ------------------------------------------------------
 
 TEST(QuantileSketchTest, ExactRegimeKeepsEveryDistinctValueAsACut) {
@@ -179,7 +308,9 @@ TEST(QuantileSketchTest, CompactedRegimeIsDeterministic) {
   // Cuts are real data values, sorted strictly ascending.
   for (size_t i = 0; i < cuts_a.size(); ++i) {
     EXPECT_EQ(cuts_a[i], static_cast<double>(static_cast<int>(cuts_a[i])));
-    if (i > 0) EXPECT_LT(cuts_a[i - 1], cuts_a[i]);
+    if (i > 0) {
+      EXPECT_LT(cuts_a[i - 1], cuts_a[i]);
+    }
   }
 }
 
