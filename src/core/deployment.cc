@@ -1,7 +1,6 @@
 #include "core/deployment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <queue>
 
@@ -52,95 +51,6 @@ std::vector<std::string> RecommendTreatments(const data::Dataset& ds,
   return treatments;
 }
 
-// Ranks pre-computed per-row probabilities into the works program. The
-// shared back half of both BuildWorksProgram overloads.
-Result<WorksProgram> AssembleProgram(const data::Dataset& segments,
-                                     const std::vector<double>& probabilities,
-                                     const DeploymentConfig& config) {
-  auto id_col = segments.ColumnByName(roadgen::kSegmentIdColumn);
-  if (!id_col.ok()) return id_col.status();
-  auto count_col = segments.ColumnByName(roadgen::kSegmentCrashCountColumn);
-  if (!count_col.ok()) return count_col.status();
-  if (segments.num_rows() == 0) return InvalidArgumentError("no segments");
-
-  struct Scored {
-    size_t row;
-    double probability;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(segments.num_rows());
-  for (size_t r = 0; r < segments.num_rows(); ++r) {
-    scored.push_back({r, probabilities[r]});
-  }
-
-  // Top-decile agreement between model ranking and observed counts.
-  const size_t decile = std::max<size_t>(1, segments.num_rows() / 10);
-  std::vector<size_t> by_probability(segments.num_rows());
-  std::vector<size_t> by_count(segments.num_rows());
-  for (size_t r = 0; r < segments.num_rows(); ++r) {
-    by_probability[r] = r;
-    by_count[r] = r;
-  }
-  // Ties break on row index so the ranking is a total order — the paged
-  // builder reproduces it from bounded heaps, and std::sort's unspecified
-  // tie behavior never leaks into the program.
-  std::sort(by_probability.begin(), by_probability.end(),
-            [&](size_t a, size_t b) {
-              if (scored[a].probability != scored[b].probability) {
-                return scored[a].probability > scored[b].probability;
-              }
-              return a < b;
-            });
-  std::sort(by_count.begin(), by_count.end(), [&](size_t a, size_t b) {
-    const double ca = (*count_col)->NumericAt(a);
-    const double cb = (*count_col)->NumericAt(b);
-    if (ca != cb) return ca > cb;
-    return a < b;
-  });
-  std::vector<uint8_t> in_count_decile(segments.num_rows(), 0);
-  for (size_t i = 0; i < decile; ++i) in_count_decile[by_count[i]] = 1;
-  size_t overlap = 0;
-  for (size_t i = 0; i < decile; ++i) {
-    overlap += in_count_decile[by_probability[i]];
-  }
-
-  WorksProgram program;
-  program.top_decile_agreement =
-      static_cast<double>(overlap) / static_cast<double>(decile);
-
-  for (size_t i = 0; i < by_probability.size(); ++i) {
-    const Scored& entry = scored[by_probability[i]];
-    if (entry.probability < config.min_probability) break;
-    if (config.max_segments != 0 &&
-        program.segments.size() >= config.max_segments) {
-      break;
-    }
-    RankedSegment ranked;
-    ranked.segment_id =
-        static_cast<int64_t>((*id_col)->NumericAt(entry.row));
-    ranked.crash_prone_probability = entry.probability;
-    ranked.observed_crash_count = (*count_col)->NumericAt(entry.row);
-    ranked.recommended_treatments =
-        RecommendTreatments(segments, entry.row, config);
-    program.segments.push_back(std::move(ranked));
-  }
-  return program;
-}
-
-}  // namespace
-
-Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                       const ml::Predictor& model,
-                                       const DeploymentConfig& config) {
-  std::vector<size_t> rows(segments.num_rows());
-  for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-  auto probabilities = model.PredictBatch(segments, rows);
-  if (!probabilities.ok()) return probabilities.status();
-  return AssembleProgram(segments, *probabilities, config);
-}
-
-namespace {
-
 // One streaming survivor: the global row, its score or observed count,
 // and (for the probability heap) the fully assembled program line — built
 // while the row's page was resident, since the page is gone by the time
@@ -151,10 +61,10 @@ struct PagedEntry {
   RankedSegment ranked;
 };
 
-// Ranking order: higher key wins, ties go to the earlier row. As a
-// priority_queue comparator this parks the WORST survivor at top(),
-// where eviction wants it — and it mirrors AssembleProgram's sort
-// tie-breaks exactly, which is what makes the paged program identical.
+// Ranking order: higher key wins, ties go to the earlier row, so the
+// ranking is a total order whatever the chunking. As a priority_queue
+// comparator this parks the WORST survivor at top(), where eviction
+// wants it.
 struct PagedBeats {
   bool operator()(const PagedEntry& a, const PagedEntry& b) const {
     if (a.key != b.key) return a.key > b.key;
@@ -251,8 +161,7 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
   }
 
   // Drain best-first. The probability heap holds the first keep_prob
-  // entries of AssembleProgram's by_probability order, the count heap the
-  // top decile of its by_count order.
+  // rows by probability, the count heap the top decile by observed count.
   std::vector<PagedEntry> ranked(by_probability.size());
   for (size_t i = ranked.size(); i-- > 0;) {
     ranked[i] = by_probability.top();
@@ -288,15 +197,10 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
 }
 
 Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                       const SegmentScorer& scorer,
+                                       const ml::Predictor& model,
                                        const DeploymentConfig& config) {
-  if (!scorer) return InvalidArgumentError("null scorer");
-  std::vector<double> probabilities;
-  probabilities.reserve(segments.num_rows());
-  for (size_t r = 0; r < segments.num_rows(); ++r) {
-    probabilities.push_back(scorer(segments, r));
-  }
-  return AssembleProgram(segments, probabilities, config);
+  data::DatasetSource source(segments);
+  return BuildWorksProgramPaged(source, model, config);
 }
 
 std::string RenderWorksProgram(const WorksProgram& program, size_t max_rows) {

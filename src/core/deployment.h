@@ -9,7 +9,6 @@
 #ifndef ROADMINE_CORE_DEPLOYMENT_H_
 #define ROADMINE_CORE_DEPLOYMENT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,11 +18,6 @@
 #include "util/status.h"
 
 namespace roadmine::core {
-
-// Legacy model hook: P(crash-prone) for one dataset row. New call sites
-// should hand BuildWorksProgram an ml::Predictor (any trained model or a
-// compiled serve::FlatModel); this alias remains for ad-hoc lambdas.
-using SegmentScorer = std::function<double(const data::Dataset&, size_t row)>;
 
 struct RankedSegment {
   int64_t segment_id = 0;
@@ -59,32 +53,26 @@ struct DeploymentConfig {
   double roughness_ceiling = 4.0;   // IRI.
 };
 
-// Scores every row of the segment-level dataset (one row per segment; see
-// roadgen::BuildSegmentDataset) through the model's batch path and
-// assembles the ranked program. Accepts any ml::Predictor — a trained
-// classifier, a loaded model, or a compiled serve::FlatModel.
-[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                             const ml::Predictor& model,
-                                             const DeploymentConfig& config = {});
-
-// Streaming variant: scores `segments` one page at a time and assembles
-// the program from bounded top-K heaps, so memory use is one page plus
-// max(config.max_segments, rows/10) survivors — never the whole network.
-// Produces a WorksProgram identical to BuildWorksProgram on the
-// materialized stream (same ranking, tie-breaks, treatments, and
-// top-decile agreement). With max_segments == 0 every row is listed, so
-// that configuration is inherently O(rows); give a cap for out-of-core
-// use. Sources that report TotalRowsHint() == 0 cost one extra counting
-// pass to fix the decile size up front.
+// Ranks the segments of `segments` (one row per segment; see
+// roadgen::BuildSegmentDataset) by the model's P(crash-prone), scored in
+// pages through its batch path, and assembles the program from bounded
+// top-K heaps: memory use is one page plus max(config.max_segments,
+// rows/10) survivors, never the whole network. Ties rank the earlier row
+// first, so the program is the same for any chunking of the same rows.
+// With max_segments == 0 every row is listed, so that configuration is
+// inherently O(rows); give a cap for out-of-core use. Sources that report
+// TotalRowsHint() == 0 cost one extra counting pass to fix the decile
+// size up front. Accepts any ml::Predictor: a trained classifier, a
+// loaded model, or a compiled serve::FlatModel.
 [[nodiscard]] util::Result<WorksProgram> BuildWorksProgramPaged(
     data::RowSource& segments, const ml::Predictor& model,
     const DeploymentConfig& config = {});
 
-// Thin adapter for legacy std::function call sites; scores row-by-row and
-// assembles the same program.
-[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                             const SegmentScorer& scorer,
-                                             const DeploymentConfig& config = {});
+// In-RAM form: BuildWorksProgramPaged over the whole table as one
+// zero-copy chunk.
+[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(
+    const data::Dataset& segments, const ml::Predictor& model,
+    const DeploymentConfig& config = {});
 
 // Text rendering for operations review.
 std::string RenderWorksProgram(const WorksProgram& program,

@@ -22,7 +22,7 @@ BinaryTrainer ClassifierTrainer(ml::ClassifierSpec spec, std::string target,
           return model->PredictProba(dataset, row);
         }),
         BatchScorer([model, &dataset](const std::vector<size_t>& rows) {
-          return model->PredictProbaBatch(dataset, rows);
+          return model->PredictBatch(dataset, rows);
         }));
   };
 }

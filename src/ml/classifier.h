@@ -46,13 +46,6 @@ class BinaryClassifier : public Predictor {
       const data::Dataset& dataset,
       const std::vector<size_t>& rows) const override;
 
-  // Probability-typed alias of PredictBatch, kept because classifier call
-  // sites read better asking for probabilities.
-  [[nodiscard]] util::Result<std::vector<double>> PredictProbaBatch(
-      const data::Dataset& dataset, const std::vector<size_t>& rows) const {
-    return PredictBatch(dataset, rows);
-  }
-
   int Predict(const data::Dataset& dataset, size_t row,
               double cutoff = 0.5) const {
     return PredictProba(dataset, row) >= cutoff ? 1 : 0;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 
 #include "exec/executor.h"
 #include "ml/histogram_index.h"
@@ -28,10 +26,10 @@ namespace {
 
 double Sigmoid(double margin) { return 1.0 / (1.0 + std::exp(-margin)); }
 
-// Engage the executor for histogram builds only at nodes at least this
-// large (same rationale and value as the exact-greedy trees: the cutoff
-// depends only on the node's row count, never the thread count, and each
-// feature's slots sum in row order regardless).
+// Engage the executor only for passes over at least this many rows (the
+// same value as the exact-greedy trees: the cutoff depends only on the
+// row count, never the thread count, and each feature's slots sum in row
+// order regardless).
 constexpr size_t kParallelMinRows = 4096;
 
 // Doubles per cache line: threaded histogram builds give every feature
@@ -47,7 +45,7 @@ struct SplitCand {
   size_t feature = 0;  // Index into the fit's feature list.
   double threshold = 0.0;
   // Numeric only: the bin index of `threshold` (cut "bin <= threshold_bin").
-  // Lets the paged fit route rows by code without touching raw values.
+  // Lets the engine route rows by code without touching raw values.
   size_t threshold_bin = 0;
   std::vector<uint8_t> left_categories;
   bool missing_goes_left = true;
@@ -55,140 +53,65 @@ struct SplitCand {
   double left_count = 0.0, right_count = 0.0;
 };
 
-// Per-node gradient/hessian histogram over the active features: flat
-// (g, h, count) arrays where active feature a owns slots
-// [offset[a], offset[a] + num_bins], the last slot holding the missing
-// rows. Subtractable: parent - smaller child = larger child, slot-wise.
-struct NodeHist {
-  std::vector<double> g, h, cnt;
+// Slots per cache-line-aligned run: 8 slots of 3 doubles are 3 whole
+// lines.
+constexpr size_t kLineSlots = kLineDoubles;
 
+// Per-node gradient/hessian histogram over the active features. Slot s
+// holds its (g, h, count) in doubles 3s..3s+2 of one line-aligned run.
+// Active feature a owns slots [offset[a], offset[a] + num_bins], the last
+// holding the missing rows; offsets are multiples of kLineSlots, so
+// threaded builds, one task per feature, never write the same line.
+// Subtractable: parent - smaller child = larger child, slot-wise.
+class NodeHist {
+ public:
+  // `slots` zero slots.
   void Allocate(size_t slots) {
-    g.assign(slots, 0.0);
-    h.assign(slots, 0.0);
-    cnt.assign(slots, 0.0);
+    storage_.assign(3 * slots + kLineDoubles - 1, 0.0);
+    void* aligned = storage_.data();
+    size_t space = storage_.size() * sizeof(double);
+    std::align(kLineBytes, 3 * slots * sizeof(double), aligned, space);
+    first_ = static_cast<size_t>(static_cast<double*>(aligned) -
+                                 storage_.data());
+    slots_ = slots;
   }
   void SubtractFrom(const NodeHist& parent, const NodeHist& sibling) {
-    const size_t slots = parent.g.size();
-    g.resize(slots);
-    h.resize(slots);
-    cnt.resize(slots);
-    for (size_t s = 0; s < slots; ++s) {
-      g[s] = parent.g[s] - sibling.g[s];
-      h[s] = parent.h[s] - sibling.h[s];
-      cnt[s] = parent.cnt[s] - sibling.cnt[s];
-    }
+    Allocate(parent.slots_);
+    double* out = Slot(0);
+    const double* p = parent.Slot(0);
+    const double* s = sibling.Slot(0);
+    for (size_t i = 0; i < 3 * slots_; ++i) out[i] = p[i] - s[i];
   }
+
+  double* Slot(size_t s) { return storage_.data() + first_ + 3 * s; }
+  const double* Slot(size_t s) const {
+    return storage_.data() + first_ + 3 * s;
+  }
+  double G(size_t s) const { return Slot(s)[0]; }
+  double H(size_t s) const { return Slot(s)[1]; }
+  double Count(size_t s) const { return Slot(s)[2]; }
+
+ private:
+  std::vector<double> storage_;
+  size_t first_ = 0;  // Index of the first aligned double in storage_.
+  size_t slots_ = 0;
 };
 
-// Shared state for growing one boosted tree. The split scan sees only
-// per-feature FeatureBins (not a HistogramIndex), so the in-RAM and
-// paged fits share it: the former points into its HistogramIndex, the
-// latter into bins it derived from the stream.
+// Shared state for growing one boosted tree.
 struct TreeContext {
-  const std::vector<FeatureRef>* features = nullptr;
   const GradientBoostedTreesParams* params = nullptr;
-  // Binning per feature index (parallel to *features).
-  std::vector<const HistogramIndex::FeatureBins*> feature_bins;
-  const std::vector<double>* grad = nullptr;  // By dataset row id.
+  // Binning per feature index (parallel to the fit's features).
+  const std::vector<HistogramIndex::FeatureBins>* feature_bins = nullptr;
+  const std::vector<double>* grad = nullptr;  // By training row.
   const std::vector<double>* hess = nullptr;
   std::vector<size_t> active;  // Feature indices this tree may split on.
   std::vector<size_t> offset;  // Slot offset per active feature.
   size_t total_slots = 0;
+
+  const HistogramIndex::FeatureBins& bins(size_t f) const {
+    return (*feature_bins)[f];
+  }
 };
-
-// Cache-line-aligned scratch for threaded histogram builds. Active
-// feature a owns one block holding `hists` consecutive histograms of its
-// slots, each a g, an h and a cnt run of width(a) doubles (its slot count
-// rounded up to whole lines), so no two feature tasks ever write the
-// same line: features with a handful of bins would otherwise false-share
-// lines of the node arrays once per row. Allocate it on the thread that
-// runs the batch; zero-filled.
-class HistScratch {
- public:
-  HistScratch(const TreeContext& ctx, size_t hists) {
-    const size_t features = ctx.active.size();
-    width_.resize(features);
-    block_.resize(features);
-    size_t doubles = 0;
-    for (size_t a = 0; a < features; ++a) {
-      const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
-      width_[a] = (slots + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-      block_[a] = doubles;
-      doubles += 3 * hists * width_[a];
-    }
-    storage_.assign(doubles + kLineDoubles - 1, 0.0);
-    void* aligned = storage_.data();
-    size_t space = storage_.size() * sizeof(double);
-    std::align(kLineBytes, doubles * sizeof(double), aligned, space);
-    first_ = static_cast<size_t>(static_cast<double*>(aligned) -
-                                 storage_.data());
-  }
-
-  size_t width(size_t a) const { return width_[a]; }
-  // Histogram k's g run for active feature a; its h and cnt runs follow
-  // at width(a) and 2 * width(a).
-  double* At(size_t a, size_t k) {
-    return storage_.data() + first_ + block_[a] + 3 * k * width_[a];
-  }
-
-  // Copies histogram k into `out` (allocated), feature by feature.
-  void CopyTo(const TreeContext& ctx, size_t k, NodeHist* out) {
-    for (size_t a = 0; a < ctx.active.size(); ++a) {
-      const double* g = At(a, k);
-      const size_t slots = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
-      const size_t base = ctx.offset[a];
-      std::copy_n(g, slots, out->g.begin() + base);
-      std::copy_n(g + width_[a], slots, out->h.begin() + base);
-      std::copy_n(g + 2 * width_[a], slots, out->cnt.begin() + base);
-    }
-  }
-
- private:
-  std::vector<size_t> width_, block_;
-  std::vector<double> storage_;
-  size_t first_ = 0;  // Index of the first aligned double in storage_.
-};
-
-// Accumulates the histogram of `rows`. Each active feature sums its own
-// slot range in row order, so an executor changes nothing but speed.
-// Threaded, each feature task accumulates into its own HistScratch
-// block, copied into `out` after the batch.
-Status BuildHist(const TreeContext& ctx, const std::vector<size_t>& rows,
-                 NodeHist* out) {
-  out->Allocate(ctx.total_slots);
-  // Feature a's rows into its slots 0..num_bins (the last one missing).
-  auto accumulate = [&](size_t a, double* g, double* h, double* cnt) {
-    const HistogramIndex::FeatureBins& bins = *ctx.feature_bins[ctx.active[a]];
-    for (size_t r : rows) {
-      const uint16_t code = bins.codes[r];
-      const size_t slot =
-          code == HistogramIndex::kMissingBin ? bins.num_bins : code;
-      g[slot] += (*ctx.grad)[r];
-      h[slot] += (*ctx.hess)[r];
-      cnt[slot] += 1.0;
-    }
-  };
-  exec::Executor* executor =
-      rows.size() >= kParallelMinRows ? ctx.params->executor : nullptr;
-  if (executor == nullptr) {
-    for (size_t a = 0; a < ctx.active.size(); ++a) {
-      const size_t base = ctx.offset[a];
-      accumulate(a, out->g.data() + base, out->h.data() + base,
-                 out->cnt.data() + base);
-    }
-    return Status::Ok();
-  }
-
-  HistScratch scratch(ctx, 1);
-  ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
-      executor, ctx.active.size(), [&](size_t a) -> Status {
-        double* g = scratch.At(a, 0);
-        accumulate(a, g, g + scratch.width(a), g + 2 * scratch.width(a));
-        return Status::Ok();
-      }));
-  scratch.CopyTo(ctx, 0, out);
-  return Status::Ok();
-}
 
 // xgboost structure gain of a (GL, HL) / (GR, HR) partition relative to
 // keeping the node whole, under L2 penalty lambda.
@@ -204,14 +127,14 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
                       double node_g, double node_h, double node_cnt) {
   const GradientBoostedTreesParams& params = *ctx.params;
   const size_t f = ctx.active[a];
-  const HistogramIndex::FeatureBins& bins = *ctx.feature_bins[f];
+  const HistogramIndex::FeatureBins& bins = ctx.bins(f);
   SplitCand best;
   best.gain = params.gamma;  // Strict >: a split must beat gamma.
   if (bins.constant || bins.num_bins < 2) return best;
 
   const size_t base = ctx.offset[a];
   const size_t miss = base + bins.num_bins;
-  const double gm = hist.g[miss], hm = hist.h[miss], cm = hist.cnt[miss];
+  const double gm = hist.G(miss), hm = hist.H(miss), cm = hist.Count(miss);
   const double parent_term =
       0.5 * node_g * node_g / (node_h + params.lambda);
 
@@ -247,10 +170,10 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   if (bins.is_numeric) {
     double cum_g = 0.0, cum_h = 0.0, cum_c = 0.0;
     for (size_t b = 0; b + 1 < bins.num_bins; ++b) {
-      cum_g += hist.g[base + b];
-      cum_h += hist.h[base + b];
-      cum_c += hist.cnt[base + b];
-      if (hist.cnt[base + b] <= 0.0) continue;  // Same partition as b-1.
+      cum_g += hist.G(base + b);
+      cum_h += hist.H(base + b);
+      cum_c += hist.Count(base + b);
+      if (hist.Count(base + b) <= 0.0) continue;  // Same partition as b-1.
       try_cut(cum_g, cum_h, cum_c, [&] {
         best.threshold = bins.upper[b];
         best.threshold_bin = b;
@@ -265,20 +188,20 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   // like the numeric bins. Level index breaks ties for determinism.
   std::vector<size_t> order;
   for (size_t level = 0; level < bins.num_bins; ++level) {
-    if (hist.cnt[base + level] > 0.0) order.push_back(level);
+    if (hist.Count(base + level) > 0.0) order.push_back(level);
   }
   if (order.size() < 2) return best;
   std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    const double rx = hist.g[base + x] / (hist.h[base + x] + params.lambda);
-    const double ry = hist.g[base + y] / (hist.h[base + y] + params.lambda);
+    const double rx = hist.G(base + x) / (hist.H(base + x) + params.lambda);
+    const double ry = hist.G(base + y) / (hist.H(base + y) + params.lambda);
     if (rx != ry) return rx < ry;
     return x < y;
   });
   double cum_g = 0.0, cum_h = 0.0, cum_c = 0.0;
   for (size_t j = 0; j + 1 < order.size(); ++j) {
-    cum_g += hist.g[base + order[j]];
-    cum_h += hist.h[base + order[j]];
-    cum_c += hist.cnt[base + order[j]];
+    cum_g += hist.G(base + order[j]);
+    cum_h += hist.H(base + order[j]);
+    cum_c += hist.Count(base + order[j]);
     try_cut(cum_g, cum_h, cum_c, [&] {
       best.left_categories.assign(bins.num_bins, 0);
       for (size_t jj = 0; jj <= j; ++jj) {
@@ -304,7 +227,7 @@ SplitCand FindBestSplit(const TreeContext& ctx, const NodeHist& hist,
 }
 
 // ---------------------------------------------------------------------------
-// Paged-fit machinery.
+// Bin codes.
 // ---------------------------------------------------------------------------
 
 // Bins one page column of `count` rows into codes, exactly as
@@ -335,48 +258,55 @@ void BinPage(const HistogramIndex::FeatureBins& bins, const data::Column& col,
   }
 }
 
-// Supplies bin codes for every training sweep. When the full code matrix
-// fits the cache budget, the source is read and binned once; otherwise
-// every Sweep() re-streams and re-bins it. Either way the callback sees
-// the same rows in the same ascending order, so sweep results are
-// identical — only the pass count differs.
+// One block of training rows' codes: page[f] points at the block's codes
+// of feature f.
+using CodePage = std::vector<const uint16_t*>;
+
+}  // namespace
+
+// Supplies bin codes, by training row, for every sweep of the tree
+// engine. Fit hands it the full code matrix; FitPaged hands it a row
+// source, which it reads and bins once when the matrix fits the cache
+// budget and re-streams and re-bins on every Sweep() otherwise. Either
+// way the callback sees the same rows in the same ascending order, so
+// sweep results are identical; only the pass count differs.
 class PagedCodes {
  public:
-  using Page = std::vector<const uint16_t*>;
+  // Pre-filled: codes[f][i] is feature f's code of training row i.
+  explicit PagedCodes(std::vector<std::vector<uint16_t>> codes)
+      : total_rows_(codes.front().size()),
+        cached_(true),
+        cache_(std::move(codes)) {}
 
   PagedCodes(data::RowSource& source, const std::vector<FeatureRef>& features,
              const std::vector<HistogramIndex::FeatureBins>& bins,
              size_t total_rows, size_t cache_budget_bytes)
-      : source_(source),
-        features_(features),
-        bins_(bins),
+      : source_(&source),
+        features_(&features),
+        bins_(&bins),
         total_rows_(total_rows) {
     const uint64_t need = static_cast<uint64_t>(features.size()) *
                           static_cast<uint64_t>(total_rows) * sizeof(uint16_t);
     cached_ = need <= cache_budget_bytes;
   }
 
-  bool cached() const { return cached_; }
-
   // Calls fn(first_row, row_count, codes) over consecutive blocks covering
-  // rows [0, total_rows); codes[f] holds row_count codes of feature f.
-  // Stops at fn's first error.
-  Status Sweep(const std::function<Status(size_t, size_t, const Page&)>& fn) {
+  // rows [0, total_rows). Stops at fn's first error.
+  Status Sweep(
+      const std::function<Status(size_t, size_t, const CodePage&)>& fn) {
     if (cached_) {
       ROADMINE_RETURN_IF_ERROR(EnsureCache());
-      Page ptrs(features_.size());
-      for (size_t f = 0; f < features_.size(); ++f) {
-        ptrs[f] = cache_[f].data();
-      }
+      CodePage ptrs(cache_.size());
+      for (size_t f = 0; f < cache_.size(); ++f) ptrs[f] = cache_[f].data();
       return fn(0, total_rows_, ptrs);
     }
-    std::vector<std::vector<uint16_t>> scratch(features_.size());
-    Page ptrs(features_.size());
+    std::vector<std::vector<uint16_t>> scratch(features_->size());
+    CodePage ptrs(features_->size());
     return Stream([&](size_t base, const data::Dataset& chunk) {
       const size_t rows = chunk.num_rows();
-      for (size_t f = 0; f < features_.size(); ++f) {
+      for (size_t f = 0; f < features_->size(); ++f) {
         scratch[f].resize(rows);
-        BinPage(bins_[f], chunk.column(features_[f].column_index), rows,
+        BinPage((*bins_)[f], chunk.column((*features_)[f].column_index), rows,
                 scratch[f].data());
         ptrs[f] = scratch[f].data();
       }
@@ -387,11 +317,11 @@ class PagedCodes {
  private:
   Status EnsureCache() {
     if (!cache_.empty()) return Status::Ok();
-    cache_.resize(features_.size());
+    cache_.resize(features_->size());
     for (auto& codes : cache_) codes.resize(total_rows_);
     return Stream([&](size_t base, const data::Dataset& chunk) {
-      for (size_t f = 0; f < features_.size(); ++f) {
-        BinPage(bins_[f], chunk.column(features_[f].column_index),
+      for (size_t f = 0; f < features_->size(); ++f) {
+        BinPage((*bins_)[f], chunk.column((*features_)[f].column_index),
                 chunk.num_rows(), cache_[f].data() + base);
       }
       return Status::Ok();
@@ -400,10 +330,10 @@ class PagedCodes {
 
   template <typename Fn>
   Status Stream(Fn&& fn) {
-    ROADMINE_RETURN_IF_ERROR(source_.Reset());
+    ROADMINE_RETURN_IF_ERROR(source_->Reset());
     size_t base = 0;
     while (true) {
-      auto chunk_result = source_.Next();
+      auto chunk_result = source_->Next();
       if (!chunk_result.ok()) return chunk_result.status();
       const data::Dataset* chunk = *chunk_result;
       if (chunk == nullptr) break;
@@ -416,29 +346,57 @@ class PagedCodes {
     return Status::Ok();
   }
 
-  data::RowSource& source_;
-  const std::vector<FeatureRef>& features_;
-  const std::vector<HistogramIndex::FeatureBins>& bins_;
+  // Null when pre-filled.
+  data::RowSource* source_ = nullptr;
+  const std::vector<FeatureRef>* features_ = nullptr;
+  const std::vector<HistogramIndex::FeatureBins>* bins_ = nullptr;
   size_t total_rows_;
   bool cached_ = false;
   std::vector<std::vector<uint16_t>> cache_;  // [feature][row], if cached.
 };
 
-// One row of a paged histogram build: the row, and which of the
-// histograms being built it adds to.
+namespace {
+
+// assign value of a row that belongs to no live node.
+constexpr uint32_t kRetired = std::numeric_limits<uint32_t>::max();
+
+// Checks the fit's row count against the engine's 32-bit row ids.
+Status CheckRowCount(size_t rows) {
+  if (rows == 0) return InvalidArgumentError("cannot fit on 0 rows");
+  if (rows >= kRetired) {
+    return InvalidArgumentError("too many rows for one fit");
+  }
+  return Status::Ok();
+}
+
+Status CheckParams(const GradientBoostedTreesParams& params) {
+  if (params.num_trees == 0) {
+    return InvalidArgumentError("num_trees must be positive");
+  }
+  if (params.learning_rate <= 0.0) {
+    return InvalidArgumentError("learning_rate must be positive");
+  }
+  if (params.max_bins < 2 || params.max_bins >= HistogramIndex::kMissingBin) {
+    return InvalidArgumentError("max_bins must be in [2, 65534]");
+  }
+  return Status::Ok();
+}
+
+// One row of a histogram build: the row, and which of the histograms
+// being built it adds to.
 struct HistRow {
   uint32_t row;
   uint32_t hist;
 };
 
 // Adds `rows` (ascending, all inside the code block `page` that starts
-// at row `base`) to their histograms in `scratch`, one task per active
-// feature. Every slot takes its rows in row order, within this block and
-// across consecutive blocks, so the sums equal BuildHist's at any thread
-// count and page size.
+// at row `base`) to their histograms, whose slot 0 is hists[k], one task
+// per active feature. Every slot takes its rows in row order, within this
+// block and across consecutive blocks, so the sums are the same at any
+// thread count and page size.
 Status AccumulateRows(const TreeContext& ctx, const HistRow* first,
-                      const HistRow* last, size_t base,
-                      const PagedCodes::Page& page, HistScratch* scratch) {
+                      const HistRow* last, size_t base, const CodePage& page,
+                      const std::vector<double*>& hists) {
   exec::Executor* executor =
       static_cast<size_t>(last - first) >= kParallelMinRows
           ? ctx.params->executor
@@ -446,15 +404,16 @@ Status AccumulateRows(const TreeContext& ctx, const HistRow* first,
   return exec::ParallelFor(executor, ctx.active.size(), [&](size_t a) {
     const size_t f = ctx.active[a];
     const uint16_t* codes = page[f];
-    const size_t missing = ctx.feature_bins[f]->num_bins;
-    const size_t width = scratch->width(a);
+    const size_t missing = ctx.bins(f).num_bins;
+    const size_t offset = ctx.offset[a];
     for (const HistRow* e = first; e != last; ++e) {
       const uint16_t code = codes[e->row - base];
-      const size_t slot = code == HistogramIndex::kMissingBin ? missing : code;
-      double* g = scratch->At(a, e->hist);
-      g[slot] += (*ctx.grad)[e->row];
-      g[width + slot] += (*ctx.hess)[e->row];
-      g[2 * width + slot] += 1.0;
+      double* slot =
+          hists[e->hist] +
+          3 * (offset + (code == HistogramIndex::kMissingBin ? missing : code));
+      slot[0] += (*ctx.grad)[e->row];
+      slot[1] += (*ctx.hess)[e->row];
+      slot[2] += 1.0;
     }
     return Status::Ok();
   });
@@ -469,206 +428,57 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
   ROADMINE_TRACE_SPAN("ml.gbt.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
-  if (params_.num_trees == 0) {
-    return InvalidArgumentError("num_trees must be positive");
+  ROADMINE_RETURN_IF_ERROR(CheckRowCount(rows.size()));
+  ROADMINE_RETURN_IF_ERROR(CheckParams(params_));
+  // Labels of the fit rows only, in training order.
+  auto target = dataset.ColumnByName(target_column);
+  if (!target.ok()) return target.status();
+  const data::Column& col = **target;
+  std::vector<int8_t> labels;
+  labels.reserve(rows.size());
+  for (size_t r : rows) {
+    if (col.IsMissing(r)) {
+      return InvalidArgumentError("missing target label at row " +
+                                  std::to_string(r));
+    }
+    labels.push_back(col.type() == data::ColumnType::kNumeric
+                         ? (col.NumericAt(r) != 0.0 ? 1 : 0)
+                         : (col.CodeAt(r) != 0 ? 1 : 0));
   }
-  if (params_.learning_rate <= 0.0) {
-    return InvalidArgumentError("learning_rate must be positive");
-  }
-  auto labels = ExtractBinaryLabels(dataset, target_column);
-  if (!labels.ok()) return labels.status();
   auto features = ResolveFeatures(dataset, feature_columns, target_column);
   if (!features.ok()) return features.status();
   features_ = std::move(*features);
-  trees_.clear();
 
-  const HistogramIndex* hist = params_.histogram_index;
-  std::optional<HistogramIndex> local_hist;
-  if (hist != nullptr) {
-    if (hist->num_rows() != dataset.num_rows() || !hist->Covers(features_)) {
-      return InvalidArgumentError(
-          "histogram_index does not cover this dataset's feature columns");
-    }
-  } else {
-    auto built = HistogramIndex::Build(dataset, features_, rows,
+  // Bin on the pool, then gather the codes of `rows`, in order, and drop
+  // the index: the engine needs only the cuts and the gathered matrix.
+  std::vector<HistogramIndex::FeatureBins> bins(features_.size());
+  std::vector<std::vector<uint16_t>> codes(features_.size());
+  {
+    auto index = HistogramIndex::Build(dataset, features_, rows,
                                        {.max_bins = params_.max_bins},
                                        params_.executor);
-    if (!built.ok()) return built.status();
-    local_hist.emplace(std::move(*built));
-    hist = &*local_hist;
+    if (!index.ok()) return index.status();
+    exec::Executor* executor =
+        rows.size() >= kParallelMinRows ? params_.executor : nullptr;
+    ROADMINE_RETURN_IF_ERROR(
+        exec::ParallelFor(executor, features_.size(), [&](size_t f) {
+          const HistogramIndex::FeatureBins& src =
+              index->ColumnBins(features_[f].column_index);
+          bins[f] = {.is_numeric = src.is_numeric,
+                     .constant = src.constant,
+                     .upper = src.upper,
+                     .lower = src.lower,
+                     .num_bins = src.num_bins,
+                     .codes = {}};
+          codes[f].resize(rows.size());
+          for (size_t i = 0; i < rows.size(); ++i) {
+            codes[f][i] = src.codes[rows[i]];
+          }
+          return Status::Ok();
+        }));
   }
-
-  // Log-odds prior with the same Laplace smoothing the tree leaves use.
-  double positives = 0.0;
-  for (size_t r : rows) positives += (*labels)[r];
-  const double prior = (positives + 1.0) / (static_cast<double>(rows.size()) + 2.0);
-  base_score_ = std::log(prior / (1.0 - prior));
-
-  std::vector<double> margin(dataset.num_rows(), 0.0);
-  std::vector<double> grad(dataset.num_rows(), 0.0);
-  std::vector<double> hess(dataset.num_rows(), 0.0);
-
-  TreeContext ctx;
-  ctx.features = &features_;
-  ctx.params = &params_;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.feature_bins.reserve(features_.size());
-  for (const FeatureRef& ref : features_) {
-    ctx.feature_bins.push_back(&hist->ColumnBins(ref.column_index));
-  }
-
-  const size_t num_features = features_.size();
-  std::vector<size_t> all_features(num_features);
-  for (size_t f = 0; f < num_features; ++f) all_features[f] = f;
-
-  for (size_t t = 0; t < params_.num_trees; ++t) {
-    // Row and column draws come from child streams keyed by the round, so
-    // neither depends on scheduling or on the other's draw count.
-    util::Rng row_rng(util::Rng::SplitSeed(params_.seed, 2 * t));
-    util::Rng col_rng(util::Rng::SplitSeed(params_.seed, 2 * t + 1));
-
-    std::vector<size_t> sampled;
-    if (params_.subsample < 1.0) {
-      sampled.reserve(rows.size());
-      for (size_t r : rows) {
-        if (row_rng.Bernoulli(params_.subsample)) sampled.push_back(r);
-      }
-      if (sampled.empty()) continue;  // Nothing drawn: no tree this round.
-    } else {
-      sampled = rows;
-    }
-
-    ctx.active = all_features;
-    if (params_.colsample < 1.0) {
-      const size_t keep = std::max<size_t>(
-          1, static_cast<size_t>(std::llround(
-                 params_.colsample * static_cast<double>(num_features))));
-      col_rng.Shuffle(ctx.active);
-      ctx.active.resize(std::min(keep, ctx.active.size()));
-      std::sort(ctx.active.begin(), ctx.active.end());
-    }
-    ctx.offset.clear();
-    ctx.total_slots = 0;
-    for (size_t f : ctx.active) {
-      ctx.offset.push_back(ctx.total_slots);
-      ctx.total_slots += ctx.feature_bins[f]->num_bins + 1;
-    }
-
-    for (size_t r : sampled) {
-      const double p = Sigmoid(base_score_ + margin[r]);
-      grad[r] = p - static_cast<double>((*labels)[r]);
-      hess[r] = p * (1.0 - p);
-    }
-
-    std::vector<Node> tree;
-    struct Pending {
-      int node;
-      int depth;
-      std::vector<size_t> rows;
-      double g, h;
-      NodeHist hist;
-    };
-    std::deque<Pending> queue;
-
-    auto make_node = [&](const std::vector<size_t>& node_rows, double* out_g,
-                         double* out_h) {
-      double g_sum = 0.0, h_sum = 0.0;
-      for (size_t r : node_rows) {
-        g_sum += grad[r];
-        h_sum += hess[r];
-      }
-      Node node;
-      node.leaf_value =
-          params_.learning_rate * (-g_sum / (h_sum + params_.lambda));
-      tree.push_back(std::move(node));
-      *out_g = g_sum;
-      *out_h = h_sum;
-      return static_cast<int>(tree.size()) - 1;
-    };
-
-    {
-      Pending root;
-      root.depth = 0;
-      root.rows = std::move(sampled);
-      root.node = make_node(root.rows, &root.g, &root.h);
-      ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, root.rows, &root.hist));
-      queue.push_back(std::move(root));
-    }
-
-    while (!queue.empty()) {
-      Pending pending = std::move(queue.front());
-      queue.pop_front();
-      if (pending.depth >= params_.max_depth || pending.rows.size() < 2) {
-        continue;
-      }
-      SplitCand cand = FindBestSplit(ctx, pending.hist, pending.g, pending.h,
-                                     static_cast<double>(pending.rows.size()));
-      if (!cand.valid) continue;
-
-      // Partition by raw value — identical to the bin comparison the scan
-      // priced, because every numeric threshold is a bin upper bound.
-      const FeatureRef& ref = features_[cand.feature];
-      const data::Column& col = dataset.column(ref.column_index);
-      auto go_left = [&](size_t r) {
-        if (col.IsMissing(r)) return cand.missing_goes_left;
-        if (ref.type == data::ColumnType::kNumeric) {
-          return col.NumericAt(r) <= cand.threshold;
-        }
-        const auto code = static_cast<size_t>(col.CodeAt(r));
-        return code < cand.left_categories.size() &&
-               cand.left_categories[code] != 0;
-      };
-      std::vector<size_t> left_rows, right_rows;
-      for (size_t r : pending.rows) {
-        (go_left(r) ? left_rows : right_rows).push_back(r);
-      }
-      if (left_rows.empty() || right_rows.empty()) continue;  // Degenerate.
-
-      Pending left, right;
-      left.depth = right.depth = pending.depth + 1;
-      left.rows = std::move(left_rows);
-      right.rows = std::move(right_rows);
-      left.node = make_node(left.rows, &left.g, &left.h);
-      right.node = make_node(right.rows, &right.g, &right.h);
-
-      // Sibling subtraction: only the smaller child re-scans its rows;
-      // the larger one is parent minus sibling, slot for slot.
-      if (left.rows.size() <= right.rows.size()) {
-        ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, left.rows, &left.hist));
-        right.hist.SubtractFrom(pending.hist, left.hist);
-      } else {
-        ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, right.rows, &right.hist));
-        left.hist.SubtractFrom(pending.hist, right.hist);
-      }
-
-      Node& node = tree[static_cast<size_t>(pending.node)];
-      node.feature = static_cast<int>(cand.feature);
-      node.threshold = cand.threshold;
-      node.left_categories = std::move(cand.left_categories);
-      node.missing_goes_left = cand.missing_goes_left;
-      node.left = left.node;
-      node.right = right.node;
-
-      queue.push_back(std::move(left));
-      queue.push_back(std::move(right));
-    }
-
-    // Every fit row moves by its leaf weight, sampled or not.
-    for (size_t r : rows) margin[r] += TreeWeight(tree, dataset, r);
-    trees_.push_back(std::move(tree));
-  }
-
-  if (trees_.empty()) {
-    return InvalidArgumentError(
-        "no trees were built (every round's row sample was empty)");
-  }
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("ml.gbt.fits").Increment();
-  metrics.GetGauge("ml.gbt.trees").Set(static_cast<double>(trees_.size()));
-  metrics.GetGauge("ml.gbt.leaves").Set(static_cast<double>(total_leaves()));
-  return Status::Ok();
+  PagedCodes paged(std::move(codes));
+  return GrowEnsemble(bins, paged, labels);
 }
 
 Status GradientBoostedTrees::FitPaged(
@@ -678,15 +488,7 @@ Status GradientBoostedTrees::FitPaged(
   ROADMINE_TRACE_SPAN("ml.gbt.fit_paged");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (params_.num_trees == 0) {
-    return InvalidArgumentError("num_trees must be positive");
-  }
-  if (params_.learning_rate <= 0.0) {
-    return InvalidArgumentError("learning_rate must be positive");
-  }
-  if (params_.max_bins < 2 || params_.max_bins >= HistogramIndex::kMissingBin) {
-    return InvalidArgumentError("max_bins must be in [2, 65534]");
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckParams(params_));
   const data::TableSchema& schema = source.schema();
   auto features = ResolveFeaturesSchema(schema, feature_columns,
                                         target_column);
@@ -763,11 +565,7 @@ Status GradientBoostedTrees::FitPaged(
     scanned_rows += chunk->num_rows();
   }
   const size_t total_rows = scanned_rows;
-  if (total_rows == 0) return InvalidArgumentError("cannot fit on 0 rows");
-  constexpr uint32_t kRetired = std::numeric_limits<uint32_t>::max();
-  if (total_rows >= kRetired) {
-    return InvalidArgumentError("too many rows for a paged fit");
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckRowCount(total_rows));
 
   // Per-feature binning derived from the stream. In the sketch's exact
   // regime the cuts equal HistogramIndex::Build's over the same rows.
@@ -791,6 +589,18 @@ Status GradientBoostedTrees::FitPaged(
   sketches.clear();
 
   features_ = std::move(*features);
+  PagedCodes codes(source, features_, bins, total_rows,
+                   options.code_cache_bytes);
+  ROADMINE_RETURN_IF_ERROR(GrowEnsemble(bins, codes, labels));
+  obs::MetricsRegistry::Global().GetCounter("ml.gbt.paged_fits").Increment();
+  return Status::Ok();
+}
+
+Status GradientBoostedTrees::GrowEnsemble(
+    const std::vector<HistogramIndex::FeatureBins>& bins, PagedCodes& codes,
+    const std::vector<int8_t>& labels) {
+  const size_t total_rows = labels.size();
+  const size_t num_features = features_.size();
   trees_.clear();
 
   double positives = 0.0;
@@ -800,23 +610,15 @@ Status GradientBoostedTrees::FitPaged(
   base_score_ = std::log(prior / (1.0 - prior));
 
   std::vector<double> margin(total_rows, 0.0);
-  // g/h of each live row, computed once per tree from margin + label:
-  // the same expression, so the same doubles, as Fit's arrays.
+  // g/h of each live row, computed once per tree from margin + label.
   std::vector<double> grad(total_rows, 0.0);
   std::vector<double> hess(total_rows, 0.0);
 
-  PagedCodes codes(source, features_, bins, total_rows,
-                   options.code_cache_bytes);
-
   TreeContext ctx;
-  ctx.features = &features_;
   ctx.params = &params_;
+  ctx.feature_bins = &bins;
   ctx.grad = &grad;
   ctx.hess = &hess;
-  ctx.feature_bins.reserve(num_features);
-  for (size_t f = 0; f < num_features; ++f) {
-    ctx.feature_bins.push_back(&bins[f]);
-  }
 
   std::vector<size_t> all_features(num_features);
   for (size_t f = 0; f < num_features; ++f) all_features[f] = f;
@@ -833,15 +635,12 @@ Status GradientBoostedTrees::FitPaged(
   // assign[r]: the tree node currently owning row r (kRetired once the
   // row reaches a leaf or was not sampled this round).
   std::vector<uint32_t> assign(total_rows, kRetired);
-  // route[r], while a level splits: the index in the next level of the
-  // child row r goes to, or kRetired when its node stays a leaf.
-  std::vector<uint32_t> route(total_rows, kRetired);
   // Rows of the histograms being built, ascending.
   std::vector<HistRow> hist_rows;
 
   // Routes a row through the split of `cand` using its bin code: for
   // numeric cuts `code <= threshold_bin` iff `value <= upper[bin]`, so
-  // code routing matches the raw-value routing Fit applies.
+  // code routing matches the raw-value routing of PredictProba.
   auto code_goes_left = [&](const SplitCand& cand, uint16_t code) {
     if (code == HistogramIndex::kMissingBin) return cand.missing_goes_left;
     if (bins[cand.feature].is_numeric) {
@@ -852,12 +651,15 @@ Status GradientBoostedTrees::FitPaged(
   };
 
   // Builds hists[k] from the hist_rows tagged k in one sweep: per page,
-  // one task per active feature, each into its own scratch block.
+  // one task per active feature.
   auto build_hists = [&](const std::vector<NodeHist*>& hists) -> Status {
-    for (NodeHist* hist : hists) hist->Allocate(ctx.total_slots);
-    HistScratch scratch(ctx, hists.size());
-    ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-        [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+    std::vector<double*> slots(hists.size());
+    for (size_t k = 0; k < hists.size(); ++k) {
+      hists[k]->Allocate(ctx.total_slots);
+      slots[k] = hists[k]->Slot(0);
+    }
+    return codes.Sweep(
+        [&](size_t base, size_t rows, const CodePage& page) {
           const HistRow* begin = hist_rows.data();
           const HistRow* end = begin + hist_rows.size();
           const HistRow* first = std::partition_point(
@@ -866,12 +668,8 @@ Status GradientBoostedTrees::FitPaged(
               std::partition_point(first, end, [&](const HistRow& e) {
                 return e.row < base + rows;
               });
-          return AccumulateRows(ctx, first, last, base, page, &scratch);
-        }));
-    for (size_t k = 0; k < hists.size(); ++k) {
-      scratch.CopyTo(ctx, k, hists[k]);
-    }
-    return Status::Ok();
+          return AccumulateRows(ctx, first, last, base, page, slots);
+        });
   };
 
   for (size_t t = 0; t < params_.num_trees; ++t) {
@@ -902,7 +700,8 @@ Status GradientBoostedTrees::FitPaged(
     ctx.total_slots = 0;
     for (size_t f : ctx.active) {
       ctx.offset.push_back(ctx.total_slots);
-      ctx.total_slots += ctx.feature_bins[f]->num_bins + 1;
+      ctx.total_slots +=
+          (bins[f].num_bins + kLineSlots) / kLineSlots * kLineSlots;
     }
 
     std::vector<Node> tree;
@@ -939,8 +738,7 @@ Status GradientBoostedTrees::FitPaged(
       return Status::Ok();
     }));
 
-    // Root sums in row order, like Fit's make_node; its histogram from
-    // every live row.
+    // Root sums in row order; its histogram from every live row.
     LiveNode root;
     hist_rows.clear();
     for (size_t r = 0; r < total_rows; ++r) {
@@ -957,16 +755,15 @@ Status GradientBoostedTrees::FitPaged(
     level.push_back(std::move(root));
 
     while (!level.empty()) {
-      // Decide each level node in id order — the same order Fit's FIFO
-      // queue processes them, so child ids come out identical. A split's
-      // children take places next_index and next_index + 1 of the next
-      // level. The scan never yields an empty side, so unlike Fit no
-      // split falls back to a leaf.
+      // Decide each level node in id order, so node ids number the tree
+      // breadth-first. A split's children take places next_index and
+      // next_index + 1 of the next level. The scan never yields an empty
+      // side, so every split it finds is made.
       struct Decision {
         bool split = false;
         SplitCand cand;
         size_t next_index = 0;
-        bool build_left = true;  // The smaller child, as in Fit.
+        bool build_left = true;  // Build the smaller child's histogram.
       };
       std::vector<Decision> decisions(level.size());
       std::vector<int32_t> node_to_level(tree.size(), -1);
@@ -987,9 +784,13 @@ Status GradientBoostedTrees::FitPaged(
       }
       if (splits == 0) break;
 
-      // Route: each live row's child, row-parallel.
+      // Route, row-parallel: each live row moves to its child's node id;
+      // rows of nodes that stay leaves retire. Children are numbered in
+      // level order after the existing nodes, so the child at place c of
+      // the next level gets id first_child + c.
+      const uint32_t first_child = static_cast<uint32_t>(tree.size());
       ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-          [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+          [&](size_t base, size_t rows, const CodePage& page) {
             return for_rows(rows, [&](size_t begin, size_t end) {
               for (size_t i = begin; i < end; ++i) {
                 const size_t r = base + i;
@@ -1001,31 +802,39 @@ Status GradientBoostedTrees::FitPaged(
                       decisions[static_cast<size_t>(node_to_level[id])];
                   if (decision.split) {
                     const SplitCand& cand = decision.cand;
-                    child = static_cast<uint32_t>(
-                        decision.next_index +
-                        (code_goes_left(cand, page[cand.feature][i]) ? 0 : 1));
+                    child = first_child +
+                            static_cast<uint32_t>(
+                                decision.next_index +
+                                (code_goes_left(cand, page[cand.feature][i])
+                                     ? 0
+                                     : 1));
                   }
                 }
-                route[r] = child;
+                assign[r] = child;
               }
               return Status::Ok();
             });
           }));
 
-      // Children's G/H in one serial pass in row order — bit for bit
-      // Fit's make_node sums — which also lists the rows of the children
-      // whose histograms are built (hist_of, else kRetired).
+      // Children at the depth cap stay leaves: they need their G/H for
+      // the leaf weights, but no histograms and no rows.
+      const bool last_level = level.front().depth + 1 >= params_.max_depth;
+
+      // Children's G/H in one serial pass in row order (the sums must add
+      // in a fixed order to stay bit-identical), which also lists the rows
+      // of the children whose histograms are built (hist_of, else
+      // kRetired).
       std::vector<double> child_g(2 * splits, 0.0), child_h(2 * splits, 0.0);
       std::vector<uint32_t> hist_of(2 * splits, kRetired);
       for (const Decision& decision : decisions) {
-        if (!decision.split) continue;
+        if (!decision.split || last_level) continue;
         hist_of[decision.next_index + (decision.build_left ? 0 : 1)] =
             static_cast<uint32_t>(decision.next_index / 2);
       }
       hist_rows.clear();
       for (size_t r = 0; r < total_rows; ++r) {
-        const uint32_t child = route[r];
-        if (child == kRetired) continue;
+        if (assign[r] == kRetired) continue;
+        const uint32_t child = assign[r] - first_child;
         child_g[child] += grad[r];
         child_h[child] += hess[r];
         if (hist_of[child] != kRetired) {
@@ -1066,18 +875,7 @@ Status GradientBoostedTrees::FitPaged(
         }
       }
 
-      // Rows move to their child's node id, row-parallel; rows of nodes
-      // that stay leaves retire.
-      ROADMINE_RETURN_IF_ERROR(
-          for_rows(total_rows, [&](size_t begin, size_t end) {
-            for (size_t r = begin; r < end; ++r) {
-              const uint32_t child = route[r];
-              assign[r] = child == kRetired
-                              ? kRetired
-                              : static_cast<uint32_t>(next[child].node);
-            }
-            return Status::Ok();
-          }));
+      if (last_level) break;
 
       // The smaller children's histograms from their rows; the larger
       // ones by sibling subtraction.
@@ -1097,9 +895,9 @@ Status GradientBoostedTrees::FitPaged(
     }
 
     // Margin sweep: every row (sampled or not) moves by its leaf weight,
-    // routed by codes — identical to Fit's raw-value TreeWeight walk.
+    // routed by codes exactly as PredictProba routes its raw values.
     ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-        [&](size_t base, size_t rows, const PagedCodes::Page& page) {
+        [&](size_t base, size_t rows, const CodePage& page) {
           return for_rows(rows, [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
               size_t id = 0;
@@ -1138,7 +936,6 @@ Status GradientBoostedTrees::FitPaged(
   }
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("ml.gbt.fits").Increment();
-  metrics.GetCounter("ml.gbt.paged_fits").Increment();
   metrics.GetGauge("ml.gbt.trees").Set(static_cast<double>(trees_.size()));
   metrics.GetGauge("ml.gbt.leaves").Set(static_cast<double>(total_leaves()));
   return Status::Ok();

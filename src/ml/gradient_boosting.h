@@ -3,20 +3,23 @@
 // The paper deliberately avoided boosting during discovery (see
 // ml/bagging.h for the quote); this learner is the production-scale
 // counterpart the ROADMAP calls for: second-order gradient boosting in
-// the xgboost mold, trained entirely over an ml::HistogramIndex —
-// per-node gradient/hessian histograms, sibling subtraction (build the
-// smaller child, derive the larger as parent minus smaller), and a
-// per-feature parallel split scan merged in feature order. Every numeric
-// threshold is a bin upper bound (an actual data value), so training-time
-// code routing and serving-time `x <= threshold` routing agree exactly on
-// the training rows (the corrected cut semantics, DESIGN.md §12).
+// the xgboost mold. One engine grows every ensemble, level by level over
+// per-feature bin codes: per-node gradient/hessian histograms, sibling
+// subtraction (build the smaller child, derive the larger as parent minus
+// smaller), a serial split scan over the active features in feature
+// order, and code routing of rows and margins. Fit and FitPaged differ
+// only in how they bin (DESIGN.md §13): Fit builds an ml::HistogramIndex
+// over its rows and gathers their codes, FitPaged derives the cuts from a
+// streaming sketch and bins page by page. Every numeric threshold is a
+// bin upper bound (an actual data value), so training-time code routing
+// and serving-time `x <= threshold` routing agree exactly on the training
+// rows (the corrected cut semantics, DESIGN.md §12).
 //
 // Determinism: row subsampling draws from Rng::SplitSeed child stream 2t
-// and column subsampling from stream 2t+1 of tree t, per-feature split
-// candidates are computed independently and merged with a strict
-// comparison in feature order, and histogram accumulation is serial in
-// row order within each feature — the fitted ensemble is bit-identical
-// at any thread count.
+// and column subsampling from stream 2t+1 of tree t, candidates merge
+// across features with a strict comparison in feature order, and every
+// histogram slot and node sum adds its rows in training order, so the
+// fitted ensemble is bit-identical at any thread count.
 #ifndef ROADMINE_ML_GRADIENT_BOOSTING_H_
 #define ROADMINE_ML_GRADIENT_BOOSTING_H_
 
@@ -27,6 +30,7 @@
 #include "data/dataset.h"
 #include "data/row_source.h"
 #include "ml/common.h"
+#include "ml/histogram_index.h"
 #include "ml/predictor.h"
 #include "util/status.h"
 
@@ -36,7 +40,8 @@ class Executor;
 
 namespace roadmine::ml {
 
-class HistogramIndex;
+// The engine's bin-code supplier (defined in gradient_boosting.cc).
+class PagedCodes;
 
 struct GradientBoostedTreesParams {
   // Boosting rounds (one tree per round; rounds whose row sample comes up
@@ -58,27 +63,26 @@ struct GradientBoostedTreesParams {
   double subsample = 1.0;
   // Fraction of feature columns drawn (without replacement) per tree.
   double colsample = 1.0;
-  // Bins per numeric column when Fit builds its own HistogramIndex.
+  // Upper bound on bins per numeric column (2..65534), for Fit's
+  // HistogramIndex and FitPaged's sketch cuts alike.
   size_t max_bins = 256;
   // Tree t draws rows from SplitSeed child stream 2t and columns from
   // 2t+1, so the ensemble is identical at any thread count.
   uint64_t seed = 61;
-  // Optional pre-built binning shared across fits (CV folds, studies).
-  // Not owned; must cover the fit's features over the same dataset.
-  const HistogramIndex* histogram_index = nullptr;
   // Optional parallelism (not owned, may be null = serial). Fit bins and
-  // builds histograms at nodes with >= 4096 rows on it; FitPaged also
-  // computes g/h, routes rows and updates margins on it, row-parallel
-  // over ranges of >= 4096 rows, and builds histograms one feature per
-  // task. Bit-identical either way.
+  // gathers codes on it, one feature per task; the engine computes g/h,
+  // routes rows and updates margins on it, row-parallel over ranges of
+  // >= 4096 rows, and builds histograms of >= 4096 rows one feature per
+  // task. Split scans stay serial. Bit-identical either way.
   exec::Executor* executor = nullptr;
 };
 
-// Knobs for FitPaged (see below). The RAM the paged fit keeps per row is
-// the margin (8 B), label (1 B), the tree's g and h (16 B), node id (4 B)
-// and the level's route (4 B), plus up to 8 B in the list of rows whose
-// histograms a level builds: 33-41 B. Bin codes are the one optional
-// cache.
+// Knobs for FitPaged (see below). Besides the bin codes, the engine
+// keeps per training row the margin (8 B), label (1 B), the tree's g and
+// h (16 B) and node id (4 B), plus up to 8 B in the list of rows whose
+// histograms a level builds: 29-37 B. Fit always
+// holds its gathered codes (features x rows x 2 bytes); for FitPaged they
+// are the one optional cache.
 struct PagedFitOptions {
   // Budget for the bin-code cache. When the full code matrix
   // (features x rows x 2 bytes) fits, the source is binned once and every
@@ -92,6 +96,9 @@ class GradientBoostedTrees : public Predictor {
   explicit GradientBoostedTrees(GradientBoostedTreesParams params = {})
       : params_(params) {}
 
+  // Trains on `rows` of `dataset`, in that order; a row listed twice is
+  // two training rows. Labels are read (and must be present) for `rows`
+  // only. Bins with a HistogramIndex over `rows` on params_.executor.
   [[nodiscard]] util::Status Fit(const data::Dataset& dataset,
                                  const std::string& target_column,
                                  const std::vector<std::string>& feature_columns,
@@ -103,13 +110,9 @@ class GradientBoostedTrees : public Predictor {
   // — and therefore the fitted model bit-identical to Fit over all rows —
   // whenever each numeric feature has at most 64 Ki distinct values; past
   // that the sketch compacts deterministically and the paged model is
-  // reproducible but no longer pinned to the in-RAM one. Trees grow level
-  // by level from per-page gradient/hessian histograms merged across
-  // pages in row order, with the same sibling subtraction, sampling
-  // streams and split scan as Fit. The tree loop runs on
-  // params_.executor; the sketch pass and the code-cache fill stay
-  // serial. params_.histogram_index is ignored (the binning is derived
-  // from the stream itself).
+  // reproducible but no longer pinned to the in-RAM one. The sketch pass
+  // and the code-cache fill stay serial (they set the memory peak); the
+  // tree engine, shared with Fit, runs on params_.executor.
   [[nodiscard]] util::Status FitPaged(
       data::RowSource& source, const std::string& target_column,
       const std::vector<std::string>& feature_columns,
@@ -169,6 +172,13 @@ class GradientBoostedTrees : public Predictor {
     int right = -1;
     double leaf_value = 0.0;  // Shrinkage applied at training time.
   };
+
+  // The one tree engine behind Fit and FitPaged: grows params_.num_trees
+  // trees over the codes `codes` supplies, binned by `bins` (parallel to
+  // features_), for training rows labelled `labels`.
+  [[nodiscard]] util::Status GrowEnsemble(
+      const std::vector<HistogramIndex::FeatureBins>& bins, PagedCodes& codes,
+      const std::vector<int8_t>& labels);
 
   // Adds tree t's leaf weight for `row` (raw column values).
   double TreeWeight(const std::vector<Node>& tree, const data::Dataset& dataset,

@@ -91,6 +91,34 @@ TEST(GradientBoostingTest, RejectsDegenerateParamsAndEmptyRows) {
                    .ok());
 }
 
+TEST(GradientBoostingTest, ReadsLabelsOfTheFitRowsOnly) {
+  data::Dataset ds = TwoFeatureDataset(600, 5);
+  std::vector<double> y = ds.column(2).numeric_values();
+  y[17] = kNaN;  // Outside the fit rows below.
+  data::Dataset unlabelled = ds;
+  ASSERT_TRUE(unlabelled.ReplaceColumn(data::Column::Numeric("y", y)).ok());
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < ds.num_rows(); ++r) {
+    if (r != 17) rows.push_back(r);
+  }
+
+  GradientBoostedTrees model(SmallParams());
+  const util::Status status =
+      model.Fit(unlabelled, "y", {"x0", "x1"}, rows);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  GradientBoostedTrees labelled(SmallParams());
+  ASSERT_TRUE(labelled.Fit(ds, "y", {"x0", "x1"}, rows).ok());
+  EXPECT_EQ(model.Serialize(), labelled.Serialize());
+
+  // A fit row's missing label is still an error.
+  rows.push_back(17);
+  const util::Status missing = GradientBoostedTrees(SmallParams())
+                                   .Fit(unlabelled, "y", {"x0", "x1"}, rows);
+  EXPECT_FALSE(missing.ok());
+  EXPECT_NE(missing.message().find("row 17"), std::string::npos)
+      << missing.ToString();
+}
+
 TEST(GradientBoostingTest, HandlesMissingAndCategoricalFeatures) {
   util::Rng rng(4);
   std::vector<double> x, y;

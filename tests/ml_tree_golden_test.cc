@@ -1,4 +1,5 @@
-// Byte-identity goldens for the exact tree learners.
+// Byte-identity goldens for the exact tree learners and gradient-boosted
+// trees.
 //
 // Each case fits one model on the calibrated paper-scale network
 // (generator seed 42) the way the CP-t study does: a stratified 67% train
@@ -9,23 +10,36 @@
 // the node's rows, and every 0/1 or count target sums exactly. Each case
 // fits at 1, 2 and 8 threads, and all three must match the file.
 //
+// The GBT goldens pin both fits: Fit on ascending rows, on the study's
+// shuffled train split, under row and column sampling and on a table with
+// missing numeric and categorical cells, and FitPaged over on-disk pages,
+// serially and on 4 threads.
+//
 // Set ROADMINE_WRITE_GOLDENS=<dir> to write the single-thread
 // serializations into <dir> instead of comparing (the thread-count
 // checks still run). Regenerate only for a deliberate format change.
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/study.h"
 #include "core/thresholds.h"
+#include "data/paged_dataset.h"
 #include "data/split.h"
 #include "exec/executor.h"
 #include "ml/bagging.h"
 #include "ml/decision_tree.h"
+#include "ml/gradient_boosting.h"
 #include "ml/m5_tree.h"
 #include "ml/regression_tree.h"
 #include "roadgen/dataset_builder.h"
@@ -101,6 +115,16 @@ std::string TargetOf(const GoldenCase& c) {
                          : core::ThresholdTargetName(c.threshold);
 }
 
+// The study's stratified 67% split, seeded by (split_seed, threshold).
+// Its train rows come out shuffled, not ascending.
+util::Result<data::TrainValidationIndices> StudySplit(
+    const data::Dataset& dataset, const std::string& strata,
+    uint64_t split_seed, int threshold) {
+  util::Rng rng(util::Rng::SplitSeed(split_seed,
+                                     static_cast<uint64_t>(threshold + 1)));
+  return data::StratifiedTrainValidationSplit(dataset, strata, 0.67, rng);
+}
+
 // Fits the case's model with `executor` (null = serial) and returns its
 // serialization, or an empty string after recording a failure.
 std::string FitSerialized(const GoldenCase& c, exec::Executor* executor) {
@@ -109,10 +133,7 @@ std::string FitSerialized(const GoldenCase& c, exec::Executor* executor) {
   // Stratify on a binary column even for the count target.
   const std::string strata =
       c.threshold < 0 ? core::ThresholdTargetName(8) : target;
-  util::Rng rng(util::Rng::SplitSeed(c.split_seed,
-                                     static_cast<uint64_t>(c.threshold + 1)));
-  auto split =
-      data::StratifiedTrainValidationSplit(data.dataset, strata, 0.67, rng);
+  auto split = StudySplit(data.dataset, strata, c.split_seed, c.threshold);
   EXPECT_TRUE(split.ok());
   if (!split.ok()) return "";
   const std::vector<size_t>& train = split->train;
@@ -159,8 +180,25 @@ std::string FitSerialized(const GoldenCase& c, exec::Executor* executor) {
   return "";
 }
 
-std::string GoldenPath(const std::string& dir, const GoldenCase& c) {
-  return dir + "/" + c.name + ".txt";
+std::string GoldenPath(const std::string& dir, const std::string& stem) {
+  return dir + "/" + stem + ".txt";
+}
+
+// Writes `serial` as golden `stem` under ROADMINE_WRITE_GOLDENS when that
+// is set, else compares it with the committed file.
+void CheckGolden(const std::string& stem, const std::string& serial) {
+  if (const char* out_dir = std::getenv("ROADMINE_WRITE_GOLDENS")) {
+    std::ofstream out(GoldenPath(out_dir, stem), std::ios::binary);
+    out << serial;
+    ASSERT_TRUE(out.good()) << GoldenPath(out_dir, stem);
+  } else {
+    std::ifstream in(GoldenPath(ROADMINE_TESTDATA_DIR "/tree_goldens", stem),
+                     std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing golden " << stem;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_TRUE(serial == golden.str()) << stem << " diverged from golden";
+  }
 }
 
 class TreeGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
@@ -169,20 +207,7 @@ TEST_P(TreeGoldenTest, SerializationMatchesGoldenAtAnyThreadCount) {
   const GoldenCase& c = GetParam();
   const std::string serial = FitSerialized(c, nullptr);
   ASSERT_FALSE(serial.empty());
-
-  if (const char* out_dir = std::getenv("ROADMINE_WRITE_GOLDENS")) {
-    std::ofstream out(GoldenPath(out_dir, c), std::ios::binary);
-    out << serial;
-    ASSERT_TRUE(out.good()) << GoldenPath(out_dir, c);
-  } else {
-    std::ifstream in(
-        GoldenPath(ROADMINE_TESTDATA_DIR "/tree_goldens", c),
-        std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden " << c.name;
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_TRUE(serial == golden.str()) << c.name << " diverged from golden";
-  }
+  CheckGolden(c.name, serial);
 
   for (size_t threads : {2u, 8u}) {
     exec::ThreadPool pool(threads);
@@ -229,6 +254,140 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"m5_p2_cp4_s1", Model::kM5, 2, 4, 1},
         GoldenCase{"m5_p2_cp16_s2", Model::kM5, 2, 16, 2}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
+
+struct GbtGoldenCase {
+  const char* name;
+  const char* golden;  // File stem under tests/testdata/tree_goldens/.
+  int phase;
+  int threshold;
+  uint64_t split_seed;  // 0 = every row, ascending; else the study split.
+  double subsample = 1.0;
+  double colsample = 1.0;
+  bool missing_cells = false;  // Fit on MissingCells(phase) instead.
+  bool paged = false;          // FitPaged over on-disk pages (every row).
+};
+
+void PrintTo(const GbtGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+// The phase's table with missing cells: every 7th row loses `f60`, every
+// 11th `texture_depth` and every 5th its `surface_type` level, so splits
+// send missing rows both ways on numeric and categorical features.
+const data::Dataset& MissingCells(int phase) {
+  static const std::vector<data::Dataset>* tables = [] {
+    auto* out = new std::vector<data::Dataset>;
+    for (int p : {1, 2}) {
+      data::Dataset ds = Phase(p).dataset;
+      for (const auto& [name, every] :
+           {std::pair<const char*, size_t>{"f60", 7}, {"texture_depth", 11}}) {
+        auto col = ds.ColumnByName(name);
+        EXPECT_TRUE(col.ok());
+        std::vector<double> values = (*col)->numeric_values();
+        for (size_t r = 0; r < values.size(); r += every) {
+          values[r] = std::numeric_limits<double>::quiet_NaN();
+        }
+        EXPECT_TRUE(ds.ReplaceColumn(data::Column::Numeric(name, values)).ok());
+      }
+      auto surface = ds.ColumnByName("surface_type");
+      EXPECT_TRUE(surface.ok());
+      std::vector<int32_t> codes = (*surface)->codes();
+      for (size_t r = 0; r < codes.size(); r += 5) codes[r] = -1;
+      auto replaced = data::Column::Categorical("surface_type", codes,
+                                                (*surface)->categories());
+      EXPECT_TRUE(replaced.ok());
+      EXPECT_TRUE(ds.ReplaceColumn(*std::move(replaced)).ok());
+      out->push_back(std::move(ds));
+    }
+    return out;
+  }();
+  return (*tables)[static_cast<size_t>(phase - 1)];
+}
+
+// The phase's table written as 4096-row pages under the test temp dir.
+const data::PagedDataset& PhasePages(int phase) {
+  static std::vector<std::optional<data::PagedDataset>> pages(2);
+  std::optional<data::PagedDataset>& slot =
+      pages[static_cast<size_t>(phase - 1)];
+  if (!slot.has_value()) {
+    const data::Dataset& ds = Phase(phase).dataset;
+    const std::string dir = ::testing::TempDir() + "/gbt_golden_pages_" +
+                            std::to_string(phase);
+    std::filesystem::remove_all(dir);
+    auto writer = data::PagedDatasetWriter::Create(
+        dir, data::TableSchema::FromDataset(ds), {.page_rows = 4096});
+    EXPECT_TRUE(writer.ok());
+    EXPECT_TRUE((*writer)->Append(ds).ok());
+    EXPECT_TRUE((*writer)->Finish().ok());
+    auto opened = data::PagedDataset::Open(dir);
+    EXPECT_TRUE(opened.ok());
+    slot.emplace(*std::move(opened));
+  }
+  return *slot;
+}
+
+std::string FitGbtSerialized(const GbtGoldenCase& c,
+                             exec::Executor* executor) {
+  const PhaseData& data = Phase(c.phase);
+  const data::Dataset& dataset =
+      c.missing_cells ? MissingCells(c.phase) : data.dataset;
+  const std::string target = core::ThresholdTargetName(c.threshold);
+  GradientBoostedTreesParams params = core::StudyConfig{}.gbt_params;
+  params.subsample = c.subsample;
+  params.colsample = c.colsample;
+  params.executor = executor;
+  GradientBoostedTrees model(params);
+  if (c.paged) {
+    data::PagedDataset::PageStream stream = PhasePages(c.phase).Pages(executor);
+    const util::Status status = model.FitPaged(stream, target, data.features);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return status.ok() ? model.Serialize() : "";
+  }
+  std::vector<size_t> rows = dataset.AllRowIndices();
+  if (c.split_seed != 0) {
+    auto split = StudySplit(dataset, target, c.split_seed, c.threshold);
+    EXPECT_TRUE(split.ok());
+    if (!split.ok()) return "";
+    rows = split->train;
+  }
+  const util::Status status =
+      model.Fit(dataset, target, data.features, rows);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return status.ok() ? model.Serialize() : "";
+}
+
+class GbtGoldenTest : public ::testing::TestWithParam<GbtGoldenCase> {};
+
+TEST_P(GbtGoldenTest, SerializationMatchesGoldenSerialAndOnFourThreads) {
+  const GbtGoldenCase& c = GetParam();
+  const std::string serial = FitGbtSerialized(c, nullptr);
+  ASSERT_FALSE(serial.empty());
+  CheckGolden(c.golden, serial);
+
+  exec::ThreadPool pool(4);
+  EXPECT_TRUE(FitGbtSerialized(c, &pool) == serial) << c.name
+                                                    << " at 4 threads";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperNetwork, GbtGoldenTest,
+    ::testing::Values(
+        // Every row in order, in RAM and from pages: one model.
+        GbtGoldenCase{"gbt_p1_cp8_all", "gbt_p1_cp8_all", 1, 8, 0},
+        GbtGoldenCase{"gbt_p1_cp8_all_paged", "gbt_p1_cp8_all", 1, 8, 0, 1.0,
+                      1.0, false, true},
+        // The study's shuffled train split, without and with sampling.
+        GbtGoldenCase{"gbt_p1_cp4_s1", "gbt_p1_cp4_s1", 1, 4, 1},
+        GbtGoldenCase{"gbt_p2_cp8_s2_study", "gbt_p2_cp8_s2_study", 2, 8, 2,
+                      0.8, 0.8},
+        GbtGoldenCase{"gbt_p1_cp8_s1_sub07_col06", "gbt_p1_cp8_s1_sub07_col06",
+                      1, 8, 1, 0.7, 0.6},
+        // Missing numeric and categorical cells.
+        GbtGoldenCase{"gbt_p2_cp4_s1_missing", "gbt_p2_cp4_s1_missing", 2, 4,
+                      1, 1.0, 1.0, true},
+        GbtGoldenCase{"gbt_p1_cp16_all_missing", "gbt_p1_cp16_all_missing", 1,
+                      16, 0, 0.8, 0.8, true}),
+    [](const ::testing::TestParamInfo<GbtGoldenCase>& info) {
       return std::string(info.param.name);
     });
 

@@ -1,6 +1,7 @@
 // Streaming scoring: ScorePaged over a chunked RowSource must equal
 // scoring the materialized table and taking its top k, at any thread
-// count; BuildWorksProgramPaged must reproduce BuildWorksProgram.
+// count; BuildWorksProgramPaged, over any chunking and as the in-RAM
+// BuildWorksProgram, must equal a brute-force works-program oracle.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -147,6 +148,84 @@ TEST(ScorePagedTest, RejectsZeroTopKAndUnknownModels) {
 
 // --- Paged works program -------------------------------------------------
 
+// The treatment triggers of core::DeploymentConfig, spelled out.
+std::vector<std::string> OracleTreatments(const data::Dataset& table,
+                                          size_t row,
+                                          const core::DeploymentConfig& c) {
+  auto value = [&](const char* name) {
+    return (*table.ColumnByName(name))->NumericAt(row);
+  };
+  std::vector<std::string> out;
+  if (value("f60") < c.f60_floor) {
+    out.push_back("reseal: skid resistance below floor");
+  }
+  if (value("texture_depth") < c.texture_floor) {
+    out.push_back("retexture: texture depth below floor");
+  }
+  if (value("seal_age") > c.seal_age_ceiling) {
+    out.push_back("reseal: surface beyond design life");
+  }
+  if (value("shoulder_width") < c.shoulder_floor) {
+    out.push_back("widen shoulder");
+  }
+  if (value("roughness_iri") > c.roughness_ceiling) {
+    out.push_back("rehabilitate: roughness above ceiling");
+  }
+  if (out.empty()) out.push_back("investigate: no surface deficit flagged");
+  return out;
+}
+
+// The program by brute force: score every row, sort all rows by
+// (probability desc, row asc) and by (count desc, row asc), count the
+// overlap of the two top deciles, and list the probability order down to
+// the floor and the cap.
+core::WorksProgram OracleProgram(const data::Dataset& table,
+                                 const ml::Predictor& model,
+                                 const core::DeploymentConfig& config) {
+  const size_t n = table.num_rows();
+  auto scores = model.PredictBatch(table, table.AllRowIndices());
+  EXPECT_TRUE(scores.ok());
+  const data::Column& ids =
+      **table.ColumnByName(roadgen::kSegmentIdColumn);
+  const data::Column& counts =
+      **table.ColumnByName(roadgen::kSegmentCrashCountColumn);
+  auto ranked_by = [&](auto key) {
+    std::vector<size_t> order = table.AllRowIndices();
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (key(a) != key(b)) return key(a) > key(b);
+      return a < b;
+    });
+    return order;
+  };
+  const std::vector<size_t> by_probability =
+      ranked_by([&](size_t r) { return (*scores)[r]; });
+  const std::vector<size_t> by_count =
+      ranked_by([&](size_t r) { return counts.NumericAt(r); });
+
+  const size_t decile = std::max<size_t>(1, n / 10);
+  size_t overlap = 0;
+  for (size_t i = 0; i < decile; ++i) {
+    overlap += std::count(by_count.begin(), by_count.begin() + decile,
+                          by_probability[i]);
+  }
+  core::WorksProgram program;
+  program.top_decile_agreement =
+      static_cast<double>(overlap) / static_cast<double>(decile);
+  for (size_t row : by_probability) {
+    if ((*scores)[row] < config.min_probability) break;
+    if (config.max_segments != 0 &&
+        program.segments.size() == config.max_segments) {
+      break;
+    }
+    program.segments.push_back(
+        {.segment_id = static_cast<int64_t>(ids.NumericAt(row)),
+         .crash_prone_probability = (*scores)[row],
+         .observed_crash_count = counts.NumericAt(row),
+         .recommended_treatments = OracleTreatments(table, row, config)});
+  }
+  return program;
+}
+
 void ExpectSameProgram(const core::WorksProgram& got,
                        const core::WorksProgram& want) {
   EXPECT_EQ(got.top_decile_agreement, want.top_decile_agreement);
@@ -162,33 +241,44 @@ void ExpectSameProgram(const core::WorksProgram& got,
   }
 }
 
-TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
-  const Fixture fx = TrainedFixture();
-  core::DeploymentConfig config;
-  config.max_segments = 30;
-  auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
-  ASSERT_TRUE(want.ok());
+// Every form of the builder against the oracle: the in-RAM entry point,
+// the whole table as one zero-copy chunk, and gathered chunks.
+void ExpectEveryFormMatchesTheOracle(const Fixture& fx,
+                                     const core::DeploymentConfig& config) {
+  const core::WorksProgram want = OracleProgram(fx.table, *fx.model, config);
+  auto in_ram = core::BuildWorksProgram(fx.table, *fx.model, config);
+  ASSERT_TRUE(in_ram.ok()) << in_ram.status().ToString();
+  ExpectSameProgram(*in_ram, want);
 
-  for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
+  data::DatasetSource zero_copy(fx.table);
+  auto single = core::BuildWorksProgramPaged(zero_copy, *fx.model, config);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ExpectSameProgram(*single, want);
+
+  for (const size_t chunk_rows : {size_t{17}, size_t{64}, size_t{128}}) {
     data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
                                chunk_rows);
     auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameProgram(*got, *want);
+    ExpectSameProgram(*got, want);
   }
+}
+
+TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
+  const Fixture fx = TrainedFixture();
+  // 400 rows: the decile (40) outgrows the cap, so the probability heap
+  // keeps rows the program never lists.
+  ExpectEveryFormMatchesTheOracle(fx, {.max_segments = 30});
 }
 
 TEST(BuildWorksProgramPagedTest, HonorsMaxSegmentsZeroAndFloors) {
   const Fixture fx = TrainedFixture();
-  core::DeploymentConfig config;
-  config.max_segments = 0;  // List everything — inherently O(rows).
-  config.min_probability = 0.05;
-  auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
-  ASSERT_TRUE(want.ok());
-  data::DatasetSource source(fx.table, fx.table.AllRowIndices(), 64);
-  auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
-  ASSERT_TRUE(got.ok());
-  ExpectSameProgram(*got, *want);
+  // List everything above the floor: inherently O(rows).
+  ExpectEveryFormMatchesTheOracle(
+      fx, {.max_segments = 0, .min_probability = 0.05});
+  // A floor above every score lists nothing but still ranks the decile.
+  ExpectEveryFormMatchesTheOracle(
+      fx, {.max_segments = 0, .min_probability = 2.0});
 }
 
 }  // namespace
